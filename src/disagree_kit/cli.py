@@ -11,7 +11,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 import time
 import warnings
@@ -24,6 +23,7 @@ from . import dynamics, generators, sampler, sparsify, spectral
 from .errors import CostWarning, DisagreeKitError, UsageError
 from .graph import WeightedGraph, edge_list_text, load_edge_list
 from .rng import TAG_CELL, derive_seed
+from .threads import worker_count
 
 EPSILON_GRID = (0.35, 0.3, 0.25)
 SWEEP_COLUMNS = ("graph", "N", "M", "method", "epsilon", "trial", "value",
@@ -298,9 +298,7 @@ def _sweep_graphs(cfg: dict, base: Path) -> list[tuple[str, WeightedGraph]]:
 def _run_cell(g: WeightedGraph, method: str, eps: float, seed: int,
               cfg: dict) -> tuple[float, float]:
     t0 = time.perf_counter()
-    if method == "exact":
-        value = spectral.exact_disagreement(g).delta
-    elif method == "sample":
+    if method == "sample":
         opts = cfg.get("sample", {})
         lam = opts.get("lambda_bound")
         if lam is None:
@@ -336,6 +334,12 @@ def _run_cell(g: WeightedGraph, method: str, eps: float, seed: int,
     return value, time.perf_counter() - t0
 
 
+def _timed_exact(g: WeightedGraph) -> tuple[float, float]:
+    t0 = time.perf_counter()
+    value = spectral.exact_disagreement(g).delta
+    return value, time.perf_counter() - t0
+
+
 def run_sweep(cfg: dict, base: Path) -> list[dict]:
     graphs = _sweep_graphs(cfg, base)
     methods = cfg.get("methods", [])
@@ -345,11 +349,11 @@ def run_sweep(cfg: dict, base: Path) -> list[dict]:
     trials = int(cfg.get("trials", 20))
     root_seed = int(cfg.get("seed", 0))
     cap = int(cfg.get("dense_cap", 20_000))
+    workers = worker_count()
 
-    exact_values = {name: (spectral.exact_disagreement(g).delta
-                           if g.n <= cap else None)
-                    for name, g in graphs}
-    with_rel = all(v is not None for v in exact_values.values())
+    exact_cells = {name: _timed_exact(g) if g.n <= cap else None
+                   for name, g in graphs}
+    with_rel = all(v is not None for v in exact_cells.values())
 
     cells = []
     for gi, (name, g) in enumerate(graphs):
@@ -364,11 +368,10 @@ def run_sweep(cfg: dict, base: Path) -> list[dict]:
                                   derive_seed(root_seed, TAG_CELL, gi, mi,
                                               ei + 1, trial)))
 
-    workers = int(os.environ.get("DISAGREE_THREADS", "0")) or min(
-        8, os.cpu_count() or 1)
-
     def work(cell):
         name, g, method, eps, trial, seed = cell
+        if method == "exact":  # reuse the up-front value and its time
+            return cell, *(exact_cells[name] or _timed_exact(g))
         value, wall = _run_cell(g, method, eps if eps is not None else 0.25,
                                 seed, cfg)
         return cell, value, wall
@@ -393,7 +396,7 @@ def run_sweep(cfg: dict, base: Path) -> list[dict]:
             "wall_time_s": wall,
         }
         if with_rel:
-            exact = exact_values[name]
+            exact = exact_cells[name][0]
             row["rel_error_vs_exact"] = abs(value - exact) / abs(exact)
         rows.append(row)
     return rows

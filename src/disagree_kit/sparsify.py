@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,11 +24,16 @@ from .errors import ConvergenceError, DomainError, ResourceError
 from .graph import WeightedGraph, validate
 from .results import DisagreementEstimate
 from .rng import TAG_SKETCH, TAG_SPARSIFY, derive_rng
+from .threads import worker_count
 from .walks import NeighborSampler
 
 #: dense fallbacks (identity-sketch hook, exact smallest eigenvalue) are
 #: limited to this many nodes.
 DENSE_SOLVE_CAP = 600
+
+#: a CG block of n x k entries is split across at most n k // this many
+#: threads; on 2 cores, a two-way split of a smaller block saved nothing
+SPLIT_MIN_ENTRIES = 2 ** 16
 
 
 @dataclass
@@ -101,20 +107,22 @@ class SparsifiedLaplacian:
 
 
 def _is_connected(n: int, edge_u: np.ndarray, edge_v: np.ndarray) -> bool:
+    """Vectorized union-find: each round hooks the larger root of every
+    edge that still joins two trees onto the smaller one, then jumps
+    pointers until every node points at its root. A tree's root is its
+    smallest node, so the graph is connected iff every node points at 0.
+    (``scipy.sparse.csgraph`` would add about 10 MB resident on import.)"""
     parent = np.arange(n)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in zip(edge_u, edge_v):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    root = find(0)
-    return all(find(i) == root for i in range(1, n))
+    while True:
+        pu, pv = parent[edge_u], parent[edge_v]
+        cross = pu != pv
+        if not cross.any():
+            return not parent.any()
+        edge_u, edge_v = edge_u[cross], edge_v[cross]
+        np.minimum.at(parent, np.maximum(pu[cross], pv[cross]),
+                      np.minimum(pu[cross], pv[cross]))
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
 
 
 def sparsify_two_step(g: WeightedGraph, epsilon: float, seed: int = 0, *,
@@ -174,6 +182,14 @@ def laplacian_solve(lap: SparsifiedLaplacian, y: np.ndarray, kappa: float, *,
     uses ||r||^2 <= kappa^2 * lambda_min * (2 y.x - x.L.x), the bracket
     being a monotone lower bound on ||pinv(L) y||_L^2. Accepts a single
     vector or a column-stacked batch; returns (x, iterations).
+
+    A batch of k columns is split into w = min(worker_count(), k // 2,
+    n k // SPLIT_MIN_ENTRIES) contiguous column blocks, each solved in its
+    own thread (the calling thread takes the first). Step sizes, stopping
+    test and re-projection are per column, so the split returns a
+    bit-identical x, and the iteration count, the maximum over blocks, is
+    that of the unsplit solve. A block that hits ``max_iters`` raises
+    ConvergenceError with that block's worst residual.
     """
     if kappa <= 0.0:
         raise DomainError(f"solver tolerance must be positive, got {kappa}")
@@ -183,12 +199,38 @@ def laplacian_solve(lap: SparsifiedLaplacian, y: np.ndarray, kappa: float, *,
     if np.any(np.abs(b.sum(axis=0)) > 1e-8 * np.maximum(scale, 1.0)):
         raise DomainError("right-hand side must be orthogonal to ones")
     n, k = b.shape
+    # cached properties are read here, not first in the workers, so that
+    # LOBPCG runs once and its warnings come from the calling thread
     mat = lap.matrix
     lam_min = lap.lambda_min_positive
     inv_diag = 1.0 / lap.degrees
     if max_iters is None:
         max_iters = max(200, 40 * n)
 
+    def solve(cols: slice) -> tuple[np.ndarray, int]:
+        return _cg_block(mat, inv_diag, lam_min, kappa, max_iters,
+                         b[:, cols], scale[cols])
+
+    # blocks keep at least two columns: numpy reduces a single column in
+    # another summation order, which would change the last bits of x
+    w = min(worker_count(), k // 2, n * k // SPLIT_MIN_ENTRIES)
+    if w <= 1:
+        x, it = solve(slice(None))
+    else:
+        edges = [k * i // w for i in range(w + 1)]
+        blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        with ThreadPoolExecutor(max_workers=w - 1) as pool:
+            rest = pool.map(solve, blocks[1:])
+            xs, iters = zip(solve(blocks[0]), *rest)
+        x, it = np.concatenate(xs, axis=1), max(iters)
+    return (x[:, 0] if single else x), it
+
+
+def _cg_block(mat: sp.csr_matrix, inv_diag: np.ndarray, lam_min: float,
+              kappa: float, max_iters: int, b: np.ndarray, scale: np.ndarray
+              ) -> tuple[np.ndarray, int]:
+    """The block CG loop of ``laplacian_solve`` on the columns of ``b``."""
+    k = b.shape[1]
     x = np.zeros_like(b)
     lx = np.zeros_like(b)
     r = b.copy()
@@ -225,7 +267,7 @@ def laplacian_solve(lap: SparsifiedLaplacian, y: np.ndarray, kappa: float, *,
         rz = rz_new
         it += 1
     x -= x.mean(axis=0, keepdims=True)
-    return (x[:, 0] if single else x), it
+    return x, it
 
 
 def jl_dimension(n: int, epsilon: float) -> int:

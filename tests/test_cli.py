@@ -7,6 +7,7 @@ import pytest
 
 import disagree_kit as dk
 from disagree_kit.cli import graph_fingerprint, main
+from disagree_kit.threads import worker_count
 
 TRI = "0\t1\n1\t2\n0\t2\n"
 
@@ -200,6 +201,49 @@ def test_sweep_empty_config_is_usage_error(tmp_path):
     assert code == 1
     code, _, _ = run_cli(["sweep", str(tmp_path / "missing.json")])
     assert code == 1
+
+
+def test_sweep_exact_cell_reuses_up_front_value(tmp_path, tri_path,
+                                                monkeypatch):
+    calls = []
+    real = dk.spectral.exact_disagreement
+
+    def counting(g, *args, **kwargs):
+        calls.append(g.n)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(dk.spectral, "exact_disagreement", counting)
+    cfg = {"trials": 1, "epsilons": [0.25], "methods": ["exact"],
+           "graphs": [{"path": str(tri_path), "name": "tri"},
+                      {"family": "psfw", "g": 2, "name": "psfw2"}]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, stdout, _ = run_cli(["sweep", str(cfg_path), "--output", "json"])
+    assert code == 0
+    assert sorted(calls) == [3, 15]  # once per graph, not again per cell
+    rows = json.loads(stdout)
+    assert [r["rel_error_vs_exact"] for r in rows] == [0.0, 0.0]
+    assert all(r["wall_time_s"] > 0.0 for r in rows)
+
+
+def test_worker_count_reads_disagree_threads(monkeypatch):
+    monkeypatch.setenv("DISAGREE_THREADS", "3")
+    assert worker_count() == 3
+    monkeypatch.delenv("DISAGREE_THREADS")
+    assert 1 <= worker_count() <= 8
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+def test_worker_count_rejects_bad_values(monkeypatch, tmp_path, tri_path,
+                                         value):
+    monkeypatch.setenv("DISAGREE_THREADS", value)
+    with pytest.raises(dk.UsageError):
+        worker_count()
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "methods": ["exact"], "graphs": [{"path": str(tri_path)}]}))
+    code, _, err = run_cli(["sweep", str(cfg_path)])
+    assert code == 1 and "DISAGREE_THREADS" in err
 
 
 def test_walk_budget_quadruples_when_epsilon_halves():

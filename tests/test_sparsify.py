@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import disagree_kit as dk
-from disagree_kit.sparsify import (jl_dimension, sketch_row_signs,
-                                   solver_tolerance)
-from helpers import random_connected_graph, triangle
+from disagree_kit import sparsify
+from disagree_kit.sparsify import (SPLIT_MIN_ENTRIES, _is_connected,
+                                   _sketched_rows, jl_dimension,
+                                   sketch_row_signs, solver_tolerance)
+from helpers import components_oracle, random_connected_graph, triangle
 
 
 def _oversample_for(g, eps, s_target):
@@ -77,6 +81,43 @@ def test_sparsifier_disconnect_retry_and_failure():
     assert lap.sample_count > 1  # doubled until connected
 
 
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(1, 20))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.sets(
+        st.tuples(node, node).filter(lambda e: e[0] != e[1])
+        .map(lambda e: (min(e), max(e))),
+        min_size=1 if n > 1 else 0, max_size=2 * n))
+    return n, draw(st.permutations(sorted(pairs)))
+
+
+def _check_is_connected(n, pairs):
+    g = dk.WeightedGraph.from_edges(n, [(u, v, 1.0) for u, v in pairs])
+    eu = np.array([u for u, _ in pairs], dtype=np.int64)
+    ev = np.array([v for _, v in pairs], dtype=np.int64)
+    assert _is_connected(n, eu, ev) == (len(components_oracle(g)) == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists())
+def test_is_connected_matches_components_oracle(case):
+    _check_is_connected(*case)
+
+
+def test_is_connected_on_seeded_random_edge_lists():
+    # hooking on a non-root would orphan a subtree; that shows up in
+    # well under 1% of small random graphs, so sample many of them
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        n = int(rng.integers(2, 21))
+        pairs = {(min(e), max(e)) for e in
+                 rng.integers(0, n, (int(rng.integers(1, 2 * n)), 2))
+                 if e[0] != e[1]}
+        if pairs:
+            _check_is_connected(n, list(rng.permutation(sorted(pairs))))
+
+
 def test_self_loop_removal_preserves_laplacian():
     g = random_connected_graph(15, 0.35, seed=2)
     gp = dk.two_step_graph(g)
@@ -109,26 +150,89 @@ def test_laplacian_solve_requires_mean_zero_rhs():
         dk.laplacian_solve(lap, np.ones(3), 1e-3)
 
 
-def test_laplacian_solve_energy_norm_contract():
+def _check_energy_norm_contract(k):
+    """Solve k random right-hand sides at three tolerances and check every
+    column against the dense pseudoinverse."""
     g = random_connected_graph(30, 0.3, seed=4, weighted=True)
     lap = dk.sparsify_two_step(g, 0.25, seed=1)
     dense = lap.matrix.toarray()
     pinv = np.linalg.pinv(dense, hermitian=True)
+    vals = np.linalg.eigvalsh(dense)
+    cond_root = math.sqrt(vals[-1] / vals[1])
     rng = np.random.default_rng(0)
     for kappa in (0.1, 1e-3, 1e-6):
-        y = rng.standard_normal(30)
-        y -= y.mean()
-        x, _ = dk.laplacian_solve(lap, y, kappa)
-        assert abs(x.sum()) < 1e-8 * np.linalg.norm(x)
+        y = rng.standard_normal((30, k))
+        y -= y.mean(axis=0)
+        x, _ = dk.laplacian_solve(lap, y[:, 0] if k == 1 else y, kappa)
+        x = x.reshape(30, k)
+        assert np.all(np.abs(x.sum(axis=0))
+                      < 1e-8 * np.linalg.norm(x, axis=0))
         err = x - pinv @ y
-        num = math.sqrt(err @ dense @ err)
-        den = math.sqrt((pinv @ y) @ dense @ (pinv @ y))
-        assert num <= kappa * den
+        num = np.sqrt(np.einsum("ij,ij->j", err, dense @ err))
+        exact = pinv @ y
+        den = np.sqrt(np.einsum("ij,ij->j", exact, dense @ exact))
+        assert np.all(num <= kappa * den)
         # residual bound with the explicit conditioning factor
-        vals = np.linalg.eigvalsh(dense)
-        cond_root = math.sqrt(vals[-1] / vals[1])
-        res = np.linalg.norm(dense @ x - y) / np.linalg.norm(y)
-        assert res <= kappa * cond_root * (1 + 1e-9)
+        res = (np.linalg.norm(dense @ x - y, axis=0)
+               / np.linalg.norm(y, axis=0))
+        assert np.all(res <= kappa * cond_root * (1 + 1e-9))
+
+
+def test_laplacian_solve_energy_norm_contract():
+    _check_energy_norm_contract(1)
+
+
+def _count_blocks(monkeypatch):
+    """Record the column count of every block ``laplacian_solve`` solves."""
+    blocks = []
+    real = sparsify._cg_block
+
+    def counting(mat, inv_diag, lam_min, kappa, max_iters, b, scale):
+        blocks.append(b.shape[1])
+        return real(mat, inv_diag, lam_min, kappa, max_iters, b, scale)
+
+    monkeypatch.setattr(sparsify, "_cg_block", counting)
+    return blocks
+
+
+def test_laplacian_solve_energy_norm_contract_split_block(monkeypatch):
+    blocks = _count_blocks(monkeypatch)
+    monkeypatch.setenv("DISAGREE_THREADS", "2")
+    k = 2 * SPLIT_MIN_ENTRIES // 30 + 1  # 30 x k entries: two blocks
+    _check_energy_norm_contract(k)
+    assert len(blocks) == 2 * 3  # two blocks at each of three tolerances
+
+
+def _gsw_sketch_block(n=400, eps=0.5):
+    g = dk.generate(dk.GeneratorSpec("gsw", {"n": n, "p": 0.5}, 0))
+    lap = dk.sparsify_two_step(g, eps, seed=0)
+    q = _sketched_rows(lap, jl_dimension(n, eps), 0)
+    assert q.size >= 2 * SPLIT_MIN_ENTRIES  # large enough to split in two
+    return lap, q, solver_tolerance(lap, eps)
+
+
+def test_laplacian_solve_split_is_bit_identical(monkeypatch):
+    lap, q, kappa = _gsw_sketch_block()
+    blocks = _count_blocks(monkeypatch)
+    monkeypatch.setenv("DISAGREE_THREADS", "1")
+    x1, it1 = dk.laplacian_solve(lap, q, kappa)
+    assert blocks == [q.shape[1]]
+    monkeypatch.setenv("DISAGREE_THREADS", "2")
+    x2, it2 = dk.laplacian_solve(lap, q, kappa)
+    half = q.shape[1] // 2
+    assert sorted(blocks[1:]) == [half, q.shape[1] - half]
+    assert np.array_equal(x1, x2)
+    assert it1 == it2
+
+
+def test_laplacian_solve_split_block_iteration_cap(monkeypatch):
+    lap, q, kappa = _gsw_sketch_block()
+    blocks = _count_blocks(monkeypatch)
+    monkeypatch.setenv("DISAGREE_THREADS", "2")
+    with pytest.raises(dk.ConvergenceError) as exc:
+        dk.laplacian_solve(lap, q, kappa, max_iters=1)
+    assert len(blocks) == 2
+    assert exc.value.residual is not None
 
 
 def test_laplacian_solve_iteration_cap():
