@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .graph import WeightedGraph, validate
+from .graph import WeightedGraph, require_ergodic
 from .results import DisagreementEstimate
 from .rng import TAG_NOISE, TAG_WALKS, derive_rng
 from .sampler import estimate_gap_bound
@@ -52,14 +52,6 @@ class MCConfig:
                 "seed": self.seed, "noise": self.noise}
 
 
-def _check_graph(g: WeightedGraph) -> None:
-    check = validate(g)
-    if not check.connected:
-        raise DomainError("simulation requires a connected graph")
-    if check.bipartite:
-        raise DomainError("simulation requires a non-bipartite graph")
-
-
 def simulate_noisy_degroot(g: WeightedGraph,
                            config: MCConfig) -> DisagreementEstimate:
     """Run the noisy averaging recursion and time-average the weighted
@@ -68,7 +60,7 @@ def simulate_noisy_degroot(g: WeightedGraph,
         raise DomainError("horizon and truncation cap must be >= 1")
     if config.noise not in ("gaussian", "rademacher"):
         raise DomainError(f"unknown noise kind {config.noise!r}")
-    _check_graph(g)
+    require_ergodic(g, "simulation")
     t0 = time.perf_counter()
     burn = config.burn_in
     if burn is None:
@@ -122,7 +114,7 @@ def simulate_mc_disagreement(g: WeightedGraph, config: MCConfig, *,
         raise ResourceError(f"hitting-time baseline capped at {cap} nodes")
     if config.truncation_cap < 1 or config.walks_per_target < 1:
         raise DomainError("truncation cap and walk count must be >= 1")
-    _check_graph(g)
+    require_ergodic(g, "simulation")
     t0 = time.perf_counter()
     pi = g.stationary()
     engine = NeighborSampler(g)

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError
-from .graph import WeightedGraph, validate
+from .graph import WeightedGraph, require_ergodic
+from .graph import validate  # noqa: F401  bench/selftest.py checks this binding
 from .results import DisagreementEstimate
 from .rng import TAG_GAP, TAG_NODES, TAG_RETURNS, derive_rng
+from .spectral import truncation_length
 from .walks import NeighborSampler
 
 #: derived truncation lengths above this trigger a cost warning.
@@ -36,8 +37,7 @@ class SampleParams:
     of the sampled node set. ``reuse_walks`` harvests every even prefix
     of one long walk instead of running independent walks per length
     (cheaper by a factor of ell, correlated across lengths, unbiased per
-    length). ``count_mode`` "endpoint" scores a walk by where it ends;
-    the "visits" variant counts in-walk visits and carries no guarantee.
+    length).
     """
 
     epsilon: float
@@ -47,7 +47,6 @@ class SampleParams:
     node_budget: int
     seed: int = 0
     reuse_walks: bool = False
-    count_mode: str = "endpoint"
 
     def to_json(self) -> dict:
         return {
@@ -58,7 +57,6 @@ class SampleParams:
             "node_budget": self.node_budget,
             "seed": self.seed,
             "reuse_walks": self.reuse_walks,
-            "count_mode": self.count_mode,
         }
 
 
@@ -66,11 +64,10 @@ def derive_params(n: int, epsilon: float, lambda_bound: float, *,
                   seed: int = 0, ell: int | None = None,
                   walks_per_length: int | None = None,
                   node_budget: int | None = None,
-                  reuse_walks: bool = False,
-                  count_mode: str = "endpoint") -> SampleParams:
+                  reuse_walks: bool = False) -> SampleParams:
     """Derive (ell, walks, node budget) from (n, epsilon, lambda bound).
 
-    ell = ceil(log(2/(eps*(1-lam))) / (2 log(1/lam))) caps the series
+    ell = ``spectral.truncation_length(eps, lam)`` caps the series
     truncation error at eps/2; walks = ceil(2 ell^2 log(2 n^2 ell)/eps^2)
     is the Hoeffding budget; the node budget is
     ceil(sqrt(n log n)/((1-lam) eps)), clamped to n. Explicit values
@@ -83,18 +80,8 @@ def derive_params(n: int, epsilon: float, lambda_bound: float, *,
     if not 0.0 < lambda_bound < 1.0:
         raise DomainError(
             f"lambda bound must lie in (0, 1), got {lambda_bound}")
-    if count_mode not in ("endpoint", "visits"):
-        raise DomainError(f"unknown count mode {count_mode!r}")
     if ell is None:
-        arg = 2.0 / (epsilon * (1.0 - lambda_bound))
-        if arg <= 1.0:
-            warnings.warn("tolerance is loose enough that the derived "
-                          "truncation length is nonpositive; clamping to 1",
-                          stacklevel=2)
-            ell = 1
-        else:
-            ell = int(math.ceil(math.log(arg) /
-                                (2.0 * math.log(1.0 / lambda_bound))))
+        ell = truncation_length(epsilon, lambda_bound)
     if ell < 1:
         raise DomainError(f"truncation length must be >= 1, got {ell}")
     if walks_per_length is None:
@@ -110,7 +97,7 @@ def derive_params(n: int, epsilon: float, lambda_bound: float, *,
     return SampleParams(epsilon=epsilon, lambda_bound=lambda_bound, ell=ell,
                         walks_per_length=walks_per_length,
                         node_budget=node_budget, seed=seed,
-                        reuse_walks=reuse_walks, count_mode=count_mode)
+                        reuse_walks=reuse_walks)
 
 
 def estimate_return_probabilities(g: WeightedGraph, node: int,
@@ -133,8 +120,6 @@ def estimate_return_probabilities(g: WeightedGraph, node: int,
     est[0] = 1.0
     if ell == 1:
         return est
-    if params.count_mode == "visits":
-        return _estimate_visit_counts(g, node, params, engine)
     if params.reuse_walks:
         rng = derive_rng(params.seed, TAG_RETURNS, node, 0)
         pos = np.full(r, node, dtype=np.int64)
@@ -150,30 +135,9 @@ def estimate_return_probabilities(g: WeightedGraph, node: int,
     return est
 
 
-def _estimate_visit_counts(g, node, params, engine) -> np.ndarray:
-    # Debug variant: count visits to the start at steps 0..2j-1 of each
-    # walk. Values may exceed 1 and carry no error guarantee.
-    ell, r = params.ell, params.walks_per_length
-    est = np.zeros(ell)
-    est[0] = 1.0
-    for j in range(1, ell):
-        rng = derive_rng(params.seed, TAG_RETURNS, node, j)
-        pos = np.full(r, node, dtype=np.int64)
-        visits = 0
-        for _ in range(2 * j):
-            visits += int(np.count_nonzero(pos == node))
-            pos = engine.step(pos, rng)
-        est[j] = visits / r
-    return est
-
-
 def _sampled_series_sums(g: WeightedGraph, params: SampleParams
                          ) -> tuple[np.ndarray, np.ndarray]:
-    check = validate(g)
-    if not check.connected:
-        raise DomainError("sampling requires a connected graph")
-    if check.bipartite:
-        raise DomainError("sampling requires a non-bipartite graph")
+    require_ergodic(g, "sampling")
     engine = NeighborSampler(g)
     rng = derive_rng(params.seed, TAG_NODES)
     nodes = np.sort(rng.choice(g.n, size=params.node_budget, replace=False))

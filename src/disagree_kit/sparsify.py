@@ -21,7 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConvergenceError, DomainError, ResourceError
-from .graph import WeightedGraph, validate
+from .graph import WeightedGraph, component_roots, require_ergodic
+from .graph import validate  # noqa: F401  bench/selftest.py checks this binding
 from .results import DisagreementEstimate
 from .rng import TAG_SKETCH, TAG_SPARSIFY, derive_rng
 from .threads import worker_count
@@ -106,25 +107,6 @@ class SparsifiedLaplacian:
         return 0.7 * float(vals[0])
 
 
-def _is_connected(n: int, edge_u: np.ndarray, edge_v: np.ndarray) -> bool:
-    """Vectorized union-find: each round hooks the larger root of every
-    edge that still joins two trees onto the smaller one, then jumps
-    pointers until every node points at its root. A tree's root is its
-    smallest node, so the graph is connected iff every node points at 0.
-    (``scipy.sparse.csgraph`` would add about 10 MB resident on import.)"""
-    parent = np.arange(n)
-    while True:
-        pu, pv = parent[edge_u], parent[edge_v]
-        cross = pu != pv
-        if not cross.any():
-            return not parent.any()
-        edge_u, edge_v = edge_u[cross], edge_v[cross]
-        np.minimum.at(parent, np.maximum(pu[cross], pv[cross]),
-                      np.minimum(pu[cross], pv[cross]))
-        while not np.array_equal(grand := parent[parent], parent):
-            parent = grand
-
-
 def sparsify_two_step(g: WeightedGraph, epsilon: float, seed: int = 0, *,
                       oversample: float = 1.0,
                       max_retries: int = 3) -> SparsifiedLaplacian:
@@ -139,10 +121,7 @@ def sparsify_two_step(g: WeightedGraph, epsilon: float, seed: int = 0, *,
     """
     if not 0.0 < epsilon <= 0.5:
         raise DomainError(f"epsilon must lie in (0, 1/2], got {epsilon}")
-    check = validate(g)
-    if not check.connected or check.bipartite:
-        raise DomainError("sparsification requires a connected "
-                          "non-bipartite base graph")
+    require_ergodic(g, "sparsification")
     engine = NeighborSampler(g)
     s = max(1, int(math.ceil(
         oversample * g.m * epsilon ** (-2) * math.log2(max(g.n, 2)))))
@@ -163,7 +142,7 @@ def sparsify_two_step(g: WeightedGraph, epsilon: float, seed: int = 0, *,
         np.add.at(acc, inv, g.d_sum / (2.0 * s))
         eu = (uniq // g.n).astype(np.int64)
         ev = (uniq % g.n).astype(np.int64)
-        if len(uniq) and _is_connected(g.n, eu, ev):
+        if len(uniq) and not component_roots(g.n, eu, ev).any():
             return SparsifiedLaplacian(g.n, eu, ev, acc, sample_count=s,
                                        epsilon=epsilon)
         s *= 2

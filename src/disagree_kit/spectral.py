@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NearBipartiteWarning, ResourceError
-from .graph import DENSE_NODE_CAP, WeightedGraph, two_step_graph, validate
+from .graph import (DENSE_NODE_CAP, WeightedGraph, require_ergodic,
+                    two_step_graph)
 
 #: eigenvalues with lambda^2 beyond 1 - _UNIT_EIGEN_TOL are treated as
 #: members of the +-1 eigenspaces by the bipartite-bypass pseudoinverse.
@@ -56,12 +57,7 @@ def decompose(g: WeightedGraph, *, allow_bipartite: bool = False,
         raise ResourceError(f"dense eigendecomposition capped at {cap} nodes")
     if g.n == 1:
         return SpectralSummary(np.ones(1), np.ones((1, 1)), 0.0)
-    check = validate(g)
-    if not check.connected:
-        raise DomainError("decompose requires a connected graph")
-    if check.bipartite and not allow_bipartite:
-        raise DomainError("decompose requires a non-bipartite graph "
-                          "(use allow_bipartite to override)")
+    require_ergodic(g, "decompose", allow_bipartite=allow_bipartite)
     vals, vecs = np.linalg.eigh(normalized_adjacency_dense(g))
     order = np.argsort(vals)[::-1]
     vals = vals[order]
@@ -170,14 +166,6 @@ def exact_kemeny_two_step(s: SpectralSummary) -> float:
         return 0.0
     lam = s.eigenvalues[1:]
     return float(np.sum(1.0 / (1.0 - lam * lam)))
-
-
-def exact_kemeny_one_step(s: SpectralSummary) -> float:
-    """Kemeny constant of the base walk: sum_{k>=2} 1/(1-lambda_k)."""
-    if s.n == 1:
-        return 0.0
-    lam = s.eigenvalues[1:]
-    return float(np.sum(1.0 / (1.0 - lam)))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's spectral code paths:
 hitting times come from linear solves, return probabilities from matrix
-powers, components from set expansion.
+powers, components from set expansion, bipartiteness from odd closed
+walks.
 """
 
 from __future__ import annotations
@@ -79,6 +80,20 @@ def components_oracle(g) -> list[set[int]]:
         comps.append(comp)
         remaining -= comp
     return comps
+
+
+def bipartite_oracle(g) -> bool:
+    """True iff no node reaches itself by an odd-length walk, read off
+    boolean powers A, A^3, ..., A^n (a shortest odd closed walk is an odd
+    cycle, so it has at most n steps)."""
+    a = (g.adjacency_dense() > 0).astype(np.int64)
+    a2 = np.minimum(a @ a, 1)
+    power = a
+    for _ in range(1, g.n + 1, 2):
+        if np.diag(power).any():
+            return False
+        power = np.minimum(power @ a2, 1)
+    return True
 
 
 def triangle():

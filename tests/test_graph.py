@@ -2,11 +2,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import disagree_kit as dk
-from helpers import (components_oracle, partial_mean_hitting_oracle,
-                     path_graph, random_connected_graph, transition_matrix,
-                     triangle)
+from disagree_kit.graph import component_roots
+from helpers import (bipartite_oracle, components_oracle,
+                     partial_mean_hitting_oracle, path_graph,
+                     random_connected_graph, transition_matrix, triangle)
 
 
 def test_load_triangle():
@@ -87,10 +90,14 @@ def test_validate_triangle_and_path():
     assert v.connected and v.bipartite
 
 
+def _disjoint_triangles():
+    return dk.WeightedGraph.from_edges(
+        6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
+            (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)])
+
+
 def test_validate_disjoint_triangles_lcc_tiebreak():
-    edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
-             (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]
-    g = dk.WeightedGraph.from_edges(6, edges)
+    g = _disjoint_triangles()
     v = dk.validate(g)
     assert not v.connected and not v.bipartite
     assert v.component_count == 2
@@ -99,6 +106,92 @@ def test_validate_disjoint_triangles_lcc_tiebreak():
     lcc = dk.restrict_to_lcc(g, v)
     assert lcc.n == 3 and lcc.m == 3
     assert list(lcc.node_labels) == [0, 1, 2]
+
+
+@st.composite
+def _edge_lists(draw, self_loops=False):
+    n = draw(st.integers(1, 20))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.sets(
+        st.tuples(node, node).filter(lambda e: self_loops or e[0] != e[1])
+        .map(lambda e: (min(e), max(e))),
+        min_size=1 if n > 1 else 0, max_size=2 * n))
+    return n, draw(st.permutations(sorted(pairs)))
+
+
+def _check_component_roots(n, pairs):
+    g = dk.WeightedGraph.from_edges(n, [(u, v, 1.0) for u, v in pairs])
+    eu = np.array([u for u, _ in pairs], dtype=np.int64)
+    ev = np.array([v for _, v in pairs], dtype=np.int64)
+    roots = component_roots(n, eu, ev)
+    for comp in components_oracle(g):
+        assert set(roots[sorted(comp)]) == {min(comp)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists())
+def test_component_roots_match_components_oracle(case):
+    _check_component_roots(*case)
+
+
+def test_component_roots_on_seeded_random_edge_lists():
+    # hooking on a non-root would orphan a subtree; that shows up in
+    # well under 1% of small random graphs, so sample many of them
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        n = int(rng.integers(2, 21))
+        pairs = {(min(e), max(e)) for e in
+                 rng.integers(0, n, (int(rng.integers(1, 2 * n)), 2))
+                 if e[0] != e[1]}
+        if pairs:
+            _check_component_roots(n, list(rng.permutation(sorted(pairs))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists(self_loops=True))
+def test_validate_matches_oracles(case):
+    n, pairs = case
+    g = dk.WeightedGraph.from_edges(n, [(u, v, 1.0) for u, v in pairs],
+                                    allow_self_loops=True)
+    comps = components_oracle(g)
+    v = dk.validate(g)
+    assert v.connected == (len(comps) == 1)
+    assert v.component_count == len(comps)
+    assert v.bipartite == bipartite_oracle(g)
+    if len(comps) == 1:
+        assert v.lcc_node_map is None
+    else:
+        lcc = max(comps, key=len)  # first max: smallest min node id
+        assert v.lcc_node_map == {old: new for new, old
+                                  in enumerate(sorted(lcc))}
+
+
+def test_validate_is_cached_per_graph():
+    g = triangle()
+    assert dk.validate(g) is dk.validate(g)
+
+
+_PRECONDITION_SITES = {
+    "sample": lambda g: dk.sample_disagreement(
+        g, dk.derive_params(g.n, 0.25, 0.5, walks_per_length=10)),
+    "simulate": lambda g: dk.simulate_noisy_degroot(
+        g, dk.MCConfig(horizon=10)),
+    "mc": lambda g: dk.simulate_mc_disagreement(
+        g, dk.MCConfig(walks_per_target=10)),
+    "decompose": dk.decompose,
+    "sparsify": lambda g: dk.sparsify_two_step(g, 0.25),
+    "two-step": dk.two_step_graph,
+}
+
+
+@pytest.mark.parametrize("site", sorted(_PRECONDITION_SITES))
+@pytest.mark.parametrize("graph, reason", [
+    pytest.param(path_graph(5), "non-bipartite", id="path5"),
+    pytest.param(_disjoint_triangles(), "connected", id="two-triangles"),
+])
+def test_precondition_sites_reject(site, graph, reason):
+    with pytest.raises(dk.DomainError, match=f"requires a {reason} graph"):
+        _PRECONDITION_SITES[site](graph)
 
 
 def test_two_step_triangle_closed_form():

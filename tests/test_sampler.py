@@ -99,15 +99,6 @@ def test_reuse_walks_unbiased():
                                    abs=0.01)
 
 
-def test_visits_debug_mode_counts_all_steps():
-    g = triangle()
-    p = dk.derive_params(3, 0.25, 0.5, ell=2, walks_per_length=1_000, seed=6,
-                         count_mode="visits")
-    est = dk.estimate_return_probabilities(g, 0, p)
-    # steps 0 and 1: the walker is at the start exactly once (no loops)
-    assert est[1] == pytest.approx(1.0, abs=1e-12)
-
-
 def test_sample_disagreement_deterministic():
     g = random_connected_graph(25, 0.3, seed=8)
     p = dk.derive_params(25, 0.3, 0.6, seed=17, walks_per_length=200)

@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import disagree_kit as dk
 from disagree_kit import sparsify
-from disagree_kit.sparsify import (SPLIT_MIN_ENTRIES, _is_connected,
-                                   _sketched_rows, jl_dimension,
-                                   sketch_row_signs, solver_tolerance)
-from helpers import components_oracle, random_connected_graph, triangle
+from disagree_kit.sparsify import (SPLIT_MIN_ENTRIES, _sketched_rows,
+                                   jl_dimension, sketch_row_signs,
+                                   solver_tolerance)
+from helpers import random_connected_graph, triangle
 
 
 def _oversample_for(g, eps, s_target):
@@ -79,43 +77,6 @@ def test_sparsifier_disconnect_retry_and_failure():
         dk.sparsify_two_step(g, 0.5, seed=0, oversample=1e-9, max_retries=0)
     lap = dk.sparsify_two_step(g, 0.5, seed=0, oversample=1e-9, max_retries=6)
     assert lap.sample_count > 1  # doubled until connected
-
-
-@st.composite
-def _edge_lists(draw):
-    n = draw(st.integers(1, 20))
-    node = st.integers(0, n - 1)
-    pairs = draw(st.sets(
-        st.tuples(node, node).filter(lambda e: e[0] != e[1])
-        .map(lambda e: (min(e), max(e))),
-        min_size=1 if n > 1 else 0, max_size=2 * n))
-    return n, draw(st.permutations(sorted(pairs)))
-
-
-def _check_is_connected(n, pairs):
-    g = dk.WeightedGraph.from_edges(n, [(u, v, 1.0) for u, v in pairs])
-    eu = np.array([u for u, _ in pairs], dtype=np.int64)
-    ev = np.array([v for _, v in pairs], dtype=np.int64)
-    assert _is_connected(n, eu, ev) == (len(components_oracle(g)) == 1)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_edge_lists())
-def test_is_connected_matches_components_oracle(case):
-    _check_is_connected(*case)
-
-
-def test_is_connected_on_seeded_random_edge_lists():
-    # hooking on a non-root would orphan a subtree; that shows up in
-    # well under 1% of small random graphs, so sample many of them
-    rng = np.random.default_rng(0)
-    for _ in range(3000):
-        n = int(rng.integers(2, 21))
-        pairs = {(min(e), max(e)) for e in
-                 rng.integers(0, n, (int(rng.integers(1, 2 * n)), 2))
-                 if e[0] != e[1]}
-        if pairs:
-            _check_is_connected(n, list(rng.permutation(sorted(pairs))))
 
 
 def test_self_loop_removal_preserves_laplacian():
