@@ -12,8 +12,8 @@ from .generators import (GeneratorSpec, generate, generate_apollonian,
                          generate_ba, generate_gsw, generate_psfw,
                          psfw_kemeny_closed_form, psfw_spectrum)
 from .graph import (WeightedGraph, dump_edge_list, edge_list_text,
-                    load_bundled, load_edge_list, partial_mean_hitting_time,
-                    restrict_to_lcc, two_step_graph, validate)
+                    load_bundled, load_edge_list, restrict_to_lcc,
+                    two_step_graph, validate)
 from .results import DisagreementEstimate
 from .sampler import (SampleParams, derive_params, estimate_gap_bound,
                       estimate_return_probabilities, sample_disagreement,
@@ -22,7 +22,8 @@ from .sparsify import (SparsifiedLaplacian, approx_disagreement,
                        laplacian_solve, sparsify_two_step)
 from .spectral import (DisagreementExact, SpectralSummary, decompose,
                        exact_disagreement, exact_hitting_time_two_step,
-                       exact_kemeny_two_step, pseudoinverse_identity_check)
+                       exact_kemeny_two_step, partial_mean_hitting_time,
+                       pseudoinverse_identity_check)
 
 __version__ = "0.1.0"
 

@@ -15,7 +15,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,6 +38,9 @@ def graph_fingerprint(g: WeightedGraph) -> str:
 
 @dataclass
 class RunRecord:
+    """One ``compute``/``kemeny`` run; ``extra`` is the estimator's own JSON,
+    whose keys give way to the record's."""
+
     command: str
     graph_fingerprint: str
     method: str
@@ -46,9 +49,11 @@ class RunRecord:
     wall_time_s: float
     seed: int | None
     timestamp: str
+    extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
+            **self.extra,
             "command": self.command,
             "graph_fingerprint": self.graph_fingerprint,
             "method": self.method,
@@ -88,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     comp = sub.add_parser("compute", help="compute disagreement")
     comp.add_argument("graph", help="edge-list file")
-    comp.add_argument("method",
-                      choices=["exact", "sample", "approx", "mc", "simulate"])
+    comp.add_argument("method", choices=list(METHODS))
     _add_method_flags(comp)
 
     kem = sub.add_parser("kemeny", help="Kemeny constant of the two-step walk")
@@ -126,19 +130,18 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", choices=["json"], default="json")
 
 
-def _sample_params(g: WeightedGraph, args) -> sampler.SampleParams:
-    if args.lambda_bound is not None and args.estimate_gap:
-        raise UsageError("give either --lambda-bound or --estimate-gap")
-    if args.lambda_bound is not None:
-        lam = args.lambda_bound
-    elif args.estimate_gap:
-        lam = sampler.estimate_gap_bound(g, seed=args.seed)
-    else:
-        raise UsageError("sampling needs --lambda-bound or --estimate-gap")
+def _sample_params(g: WeightedGraph, options: dict, eps: float,
+                   seed: int) -> sampler.SampleParams:
+    """Sampler parameters from the ``sample`` options; the spectral bound is
+    estimated when ``lambda_bound`` is missing."""
+    lam = options.get("lambda_bound")
+    if lam is None:
+        lam = sampler.estimate_gap_bound(g, seed=seed)
     params = sampler.derive_params(
-        g.n, args.epsilon, lam, seed=args.seed, ell=args.ell,
-        walks_per_length=args.walks, node_budget=args.node_budget,
-        reuse_walks=args.reuse_walks)
+        g.n, eps, lam, seed=seed, ell=options.get("ell"),
+        walks_per_length=options.get("walks"),
+        node_budget=options.get("node_budget"),
+        reuse_walks=options.get("reuse_walks", False))
     if params.ell > sampler.ELL_COST_WARNING:
         warnings.warn(
             f"derived truncation length ell={params.ell} implies walks of "
@@ -147,53 +150,69 @@ def _sample_params(g: WeightedGraph, args) -> sampler.SampleParams:
     return params
 
 
-def _compute_record(g: WeightedGraph, method: str, args,
-                    command: str) -> RunRecord:
+def _pick(options: dict, *keys: str) -> dict:
+    return {k: options[k] for k in keys if k in options}
+
+
+def _mc_config(options: dict, seed: int) -> dynamics.MCConfig:
+    return dynamics.MCConfig(seed=seed, **_pick(
+        options, "burn_in", "horizon", "truncation_cap", "walks_per_target"))
+
+
+#: method name -> (graph, options, epsilon, seed) -> estimate. Options use
+#: the sweep config's keys; estimators are looked up through their module
+#: at call time, so patching a module attribute reaches every caller.
+METHODS = {
+    "exact": lambda g, opts, eps, seed: spectral.exact_disagreement(
+        g, allow_bipartite_pseudoinverse=opts.get("allow_bipartite", False)),
+    "sample": lambda g, opts, eps, seed: sampler.sample_disagreement(
+        g, _sample_params(g, opts, eps, seed)),
+    "approx": lambda g, opts, eps, seed: sparsify.approx_disagreement(
+        g, eps, seed, **_pick(opts, "oversample", "kappa", "max_cg_iters")),
+    "mc": lambda g, opts, eps, seed: dynamics.simulate_mc_disagreement(
+        g, _mc_config(opts, seed)),
+    "simulate": lambda g, opts, eps, seed: dynamics.simulate_noisy_degroot(
+        g, _mc_config(opts, seed)),
+}
+
+
+def _method_options(args) -> dict:
+    """The ``compute``/``kemeny`` flags of ``args.method`` as its options."""
+    if args.method == "sample":
+        if args.lambda_bound is not None and args.estimate_gap:
+            raise UsageError("give either --lambda-bound or --estimate-gap")
+        if args.lambda_bound is None and not args.estimate_gap:
+            raise UsageError("sampling needs --lambda-bound or --estimate-gap")
+    dyn = {"burn_in": args.burn_in, "horizon": args.horizon,
+           "truncation_cap": args.cap}
+    options = {
+        "exact": {"allow_bipartite": args.allow_bipartite},
+        "sample": {"lambda_bound": args.lambda_bound, "ell": args.ell,
+                   "walks": args.walks, "node_budget": args.node_budget,
+                   "reuse_walks": args.reuse_walks},
+        "approx": {"oversample": args.oversample_c,
+                   "kappa": args.kappa_override,
+                   "max_cg_iters": args.max_cg_iters},
+        "mc": {**dyn, "walks_per_target": args.walks},
+        "simulate": dyn,
+    }[args.method]
+    return {k: v for k, v in options.items() if v is not None}
+
+
+def _compute_record(g: WeightedGraph, method: str, options: dict,
+                    eps: float, seed: int, command: str) -> RunRecord:
     t0 = time.perf_counter()
-    if method == "exact":
-        summary = spectral.decompose(g, allow_bipartite=args.allow_bipartite)
-        res = spectral.exact_disagreement(
-            g, summary, allow_bipartite_pseudoinverse=args.allow_bipartite)
-        record = RunRecord(command, graph_fingerprint(g), "exact",
-                           {"allow_bipartite": args.allow_bipartite},
-                           res.delta, time.perf_counter() - t0, args.seed,
-                           _now())
-        record.extra = res.to_json()  # type: ignore[attr-defined]
-        return record
-    if method == "sample":
-        params = _sample_params(g, args)
-        est = sampler.sample_disagreement(g, params)
-    elif method == "approx":
-        est = sparsify.approx_disagreement(
-            g, args.epsilon, args.seed, oversample=args.oversample_c,
-            kappa=args.kappa_override, max_cg_iters=args.max_cg_iters)
-    elif method == "mc":
-        cfg = dynamics.MCConfig(burn_in=args.burn_in, horizon=args.horizon,
-                                truncation_cap=args.cap,
-                                walks_per_target=args.walks or 1_000,
-                                seed=args.seed)
-        est = dynamics.simulate_mc_disagreement(g, cfg)
-    elif method == "simulate":
-        cfg = dynamics.MCConfig(burn_in=args.burn_in, horizon=args.horizon,
-                                truncation_cap=args.cap, seed=args.seed)
-        est = dynamics.simulate_noisy_degroot(g, cfg)
-    else:  # pragma: no cover
-        raise UsageError(f"unknown method {method}")
-    record = RunRecord(command, graph_fingerprint(g), est.method, est.params,
-                       est.value, time.perf_counter() - t0, est.seed, _now())
-    record.extra = est.to_json()  # type: ignore[attr-defined]
-    return record
+    est = METHODS[method](g, options, eps, seed)
+    wall = time.perf_counter() - t0
+    params = options if method == "exact" else est.params
+    return RunRecord(command, graph_fingerprint(g), method, params,
+                     est.value, wall, seed, _now(), est.to_json())
 
 
-def _emit_record(record: RunRecord, out=None) -> None:
-    out = out if out is not None else sys.stdout
-    payload = record.to_json()
-    extra = getattr(record, "extra", None)
-    if extra:
-        for key, val in extra.items():
-            payload.setdefault(key, val)
-    json.dump(payload, out, indent=2, sort_keys=True, default=float)
-    out.write("\n")
+def _emit_record(record: RunRecord) -> None:
+    json.dump(record.to_json(), sys.stdout, indent=2, sort_keys=True,
+              default=float)
+    sys.stdout.write("\n")
 
 
 # -- subcommands -------------------------------------------------------
@@ -234,8 +253,8 @@ def cmd_gen(args) -> int:
 
 def cmd_compute(args) -> int:
     g = load_edge_list(args.graph)
-    record = _compute_record(g, args.method, args,
-                             command=" ".join(sys.argv[1:]))
+    record = _compute_record(g, args.method, _method_options(args),
+                             args.epsilon, args.seed, " ".join(sys.argv[1:]))
     _emit_record(record)
     return 0
 
@@ -262,7 +281,8 @@ def cmd_kemeny(args) -> int:
                            {"variant": "exact"}, value,
                            time.perf_counter() - t0, None, _now())
     else:
-        params = _sample_params(g, args)
+        params = _sample_params(g, _method_options(args), args.epsilon,
+                                args.seed)
         est = sampler.sample_kemeny_two_step(g, params)
         record = RunRecord(command, graph_fingerprint(g), "kemeny",
                            {"variant": "sample", **est.params}, est.value,
@@ -297,52 +317,24 @@ def _sweep_graphs(cfg: dict, base: Path) -> list[tuple[str, WeightedGraph]]:
 
 def _run_cell(g: WeightedGraph, method: str, eps: float, seed: int,
               cfg: dict) -> tuple[float, float]:
+    """One sweep cell through ``METHODS``: (value, wall time)."""
     t0 = time.perf_counter()
-    if method == "sample":
-        opts = cfg.get("sample", {})
-        lam = opts.get("lambda_bound")
-        if lam is None:
-            lam = sampler.estimate_gap_bound(g, seed=seed)
-        params = sampler.derive_params(
-            g.n, eps, lam, seed=seed, ell=opts.get("ell"),
-            walks_per_length=opts.get("walks"),
-            node_budget=opts.get("node_budget"),
-            reuse_walks=opts.get("reuse_walks", False))
-        value = sampler.sample_disagreement(g, params).value
-    elif method == "approx":
-        opts = cfg.get("approx", {})
-        value = sparsify.approx_disagreement(
-            g, eps, seed, oversample=opts.get("oversample", 1.0),
-            kappa=opts.get("kappa"),
-            max_cg_iters=opts.get("max_cg_iters")).value
-    elif method == "mc":
-        opts = cfg.get("mc", {})
-        mc_cfg = dynamics.MCConfig(
-            burn_in=opts.get("burn_in"),
-            horizon=opts.get("horizon", 100_000),
-            truncation_cap=opts.get("truncation_cap", 1_000),
-            walks_per_target=opts.get("walks_per_target", 1_000), seed=seed)
-        value = dynamics.simulate_mc_disagreement(g, mc_cfg).value
-    elif method == "simulate":
-        opts = cfg.get("simulate", {})
-        sim_cfg = dynamics.MCConfig(
-            burn_in=opts.get("burn_in"),
-            horizon=opts.get("horizon", 100_000), seed=seed)
-        value = dynamics.simulate_noisy_degroot(g, sim_cfg).value
-    else:
-        raise UsageError(f"unknown sweep method {method!r}")
+    value = METHODS[method](g, cfg.get(method, {}), eps, seed).value
     return value, time.perf_counter() - t0
 
 
 def _timed_exact(g: WeightedGraph) -> tuple[float, float]:
     t0 = time.perf_counter()
-    value = spectral.exact_disagreement(g).delta
+    value = METHODS["exact"](g, {}, None, 0).value
     return value, time.perf_counter() - t0
 
 
 def run_sweep(cfg: dict, base: Path) -> list[dict]:
-    graphs = _sweep_graphs(cfg, base)
     methods = cfg.get("methods", [])
+    for method in methods:
+        if not isinstance(method, str) or method not in METHODS:
+            raise UsageError(f"unknown sweep method {method!r}")
+    graphs = _sweep_graphs(cfg, base)
     if not graphs or not methods:
         raise UsageError("sweep config needs non-empty 'graphs' and 'methods'")
     epsilons = cfg.get("epsilons", list(EPSILON_GRID))
@@ -351,44 +343,40 @@ def run_sweep(cfg: dict, base: Path) -> list[dict]:
     cap = int(cfg.get("dense_cap", 20_000))
     workers = worker_count()
 
-    exact_cells = {name: _timed_exact(g) if g.n <= cap else None
-                   for name, g in graphs}
-    with_rel = all(v is not None for v in exact_cells.values())
+    # indexed by graph position: two graphs may share a display name
+    exact_cells = [_timed_exact(g) if g.n <= cap else None for _, g in graphs]
+    with_rel = all(v is not None for v in exact_cells)
 
     cells = []
-    for gi, (name, g) in enumerate(graphs):
+    for gi in range(len(graphs)):
         for mi, method in enumerate(methods):
             if method == "exact":
-                cells.append((name, g, method, None, 0,
+                cells.append((gi, method, None, 0,
                               derive_seed(root_seed, TAG_CELL, gi, mi, 0, 0)))
                 continue
             for ei, eps in enumerate(epsilons):
                 for trial in range(trials):
-                    cells.append((name, g, method, eps, trial,
+                    cells.append((gi, method, eps, trial,
                                   derive_seed(root_seed, TAG_CELL, gi, mi,
                                               ei + 1, trial)))
 
     def work(cell):
-        name, g, method, eps, trial, seed = cell
+        gi, method, eps, _, seed = cell
+        g = graphs[gi][1]
         if method == "exact":  # reuse the up-front value and its time
-            return cell, *(exact_cells[name] or _timed_exact(g))
-        value, wall = _run_cell(g, method, eps if eps is not None else 0.25,
-                                seed, cfg)
-        return cell, value, wall
+            return exact_cells[gi] or _timed_exact(g)
+        return _run_cell(g, method, eps, seed, cfg)
 
-    results = {}
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for cell, value, wall in pool.map(work, cells):
-            results[cell[:5]] = (value, wall)
+        results = list(pool.map(work, cells))
 
     rows = []
-    graph_sizes = {name: (g.n, g.m) for name, g in graphs}
-    for name, g, method, eps, trial, _ in cells:
-        value, wall = results[(name, g, method, eps, trial)]
+    for (gi, method, eps, trial, _), (value, wall) in zip(cells, results):
+        name, g = graphs[gi]
         row = {
             "graph": name,
-            "N": graph_sizes[name][0],
-            "M": graph_sizes[name][1],
+            "N": g.n,
+            "M": g.m,
             "method": method,
             "epsilon": "" if eps is None else eps,
             "trial": trial,
@@ -396,7 +384,7 @@ def run_sweep(cfg: dict, base: Path) -> list[dict]:
             "wall_time_s": wall,
         }
         if with_rel:
-            exact = exact_cells[name][0]
+            exact = exact_cells[gi][0]
             row["rel_error_vs_exact"] = abs(value - exact) / abs(exact)
         rows.append(row)
     return rows

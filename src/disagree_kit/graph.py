@@ -11,15 +11,12 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, DuplicateEdgeError, ParseError, ResourceError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .spectral import SpectralSummary
 
 #: Largest node count admitted to dense materializations (two-step graph,
 #: full eigendecompositions). Beyond this, use the sampling estimators.
@@ -154,9 +151,6 @@ class WeightedGraph:
     def adjacency_dense(self) -> np.ndarray:
         return self.adjacency_csr().toarray()
 
-    def transition_dense(self) -> np.ndarray:
-        return self.adjacency_dense() / self.degrees[:, None]
-
     def edges(self) -> Iterator[tuple[int, int, float]]:
         for u, v, w in zip(self.edge_u, self.edge_v, self.edge_w):
             yield int(u), int(v), float(w)
@@ -250,13 +244,14 @@ def restrict_to_lcc(g: WeightedGraph,
     if validation.connected:
         return g
     mapping = validation.lcc_node_map
-    keep = np.array([u in mapping for u in range(g.n)])
-    mask = keep[g.edge_u] & keep[g.edge_v]
+    old = np.fromiter(mapping, dtype=np.int64, count=len(mapping))
     lut = np.full(g.n, -1, dtype=np.int64)
-    for old, new in mapping.items():
-        lut[old] = new
+    lut[old] = np.fromiter(mapping.values(), dtype=np.int64,
+                           count=len(mapping))
+    members = old[np.argsort(lut[old])]  # original ids in new-id order
+    keep = lut >= 0
+    mask = keep[g.edge_u] & keep[g.edge_v]
     labels_src = g.node_labels if g.node_labels is not None else np.arange(g.n)
-    members = sorted(mapping, key=mapping.get)
     return WeightedGraph(len(mapping), lut[g.edge_u[mask]],
                          lut[g.edge_v[mask]], g.edge_w[mask],
                          node_labels=labels_src[members])
@@ -385,36 +380,3 @@ def two_step_graph(g: WeightedGraph, *,
     return WeightedGraph(g.n, two.row[keep], two.col[keep], two.data[keep],
                          node_labels=labels)
 
-
-def partial_mean_hitting_time(g: WeightedGraph, target: int,
-                              spectral: "SpectralSummary", *,
-                              two_step: bool = False,
-                              allow_bipartite_pseudoinverse: bool = False
-                              ) -> float:
-    """Expected hitting time of ``target`` from a stationary random start.
-
-    Computed spectrally as (1/pi_t) * sum_{k>=2} psi_kt^2 / (1 - lambda_k)
-    on ``g`` itself, or with 1 - lambda_k^2 for the two-step graph of
-    ``g`` when ``two_step`` is set. The bypass flag additionally drops
-    the -1 eigenspace so the two-step variant stays finite on bipartite
-    input (pseudoinverse semantics).
-    """
-    if not (0 <= target < g.n):
-        raise DomainError(f"target {target} out of range for n={g.n}")
-    if g.n == 1:
-        return 0.0
-    if spectral.eigenvectors.shape[0] != g.n:
-        raise DomainError("spectral summary does not belong to this graph")
-    lam = spectral.eigenvalues
-    psi_t = spectral.eigenvectors[target, :]
-    if allow_bipartite_pseudoinverse:
-        if not two_step:
-            raise DomainError("the pseudoinverse bypass applies to the "
-                              "two-step variant only")
-        mask = lam * lam < 1.0 - 1e-9
-    else:
-        mask = np.ones(g.n, dtype=bool)
-        mask[0] = False
-    denom = (1.0 - lam[mask] ** 2) if two_step else (1.0 - lam[mask])
-    pi_t = g.stationary()[target]
-    return float(np.sum(psi_t[mask] ** 2 / denom) / pi_t)

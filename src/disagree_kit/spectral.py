@@ -89,6 +89,11 @@ class DisagreementExact:
     ldag_diag: np.ndarray
     contributions: np.ndarray
 
+    @property
+    def value(self) -> float:
+        """``delta``, under the name the estimators' results use."""
+        return self.delta
+
     def to_json(self) -> dict:
         return {
             "method": "exact",
@@ -102,6 +107,16 @@ class DisagreementExact:
         }
 
 
+def _kept_eigenvalues(lam: np.ndarray, bypass: bool) -> np.ndarray:
+    """Mask of the eigenvalues a pseudoinverse sums over: all but the
+    leading one, or with ``bypass`` every one with lambda^2 < 1."""
+    if bypass:
+        return lam * lam < 1.0 - _UNIT_EIGEN_TOL
+    mask = np.ones(len(lam), dtype=bool)
+    mask[0] = False
+    return mask
+
+
 def two_step_pinv_diagonal(s: SpectralSummary, *,
                            allow_bipartite_pseudoinverse: bool = False
                            ) -> np.ndarray:
@@ -112,11 +127,7 @@ def two_step_pinv_diagonal(s: SpectralSummary, *,
     natural reading of the pseudoinverse on bipartite graphs.
     """
     lam = s.eigenvalues
-    if allow_bipartite_pseudoinverse:
-        mask = lam * lam < 1.0 - _UNIT_EIGEN_TOL
-    else:
-        mask = np.ones(len(lam), dtype=bool)
-        mask[0] = False
+    mask = _kept_eigenvalues(lam, allow_bipartite_pseudoinverse)
     denom = 1.0 - lam[mask] ** 2
     psi = s.eigenvectors[:, mask]
     return (psi * psi) @ (1.0 / denom)
@@ -158,6 +169,36 @@ def exact_hitting_time_two_step(s: SpectralSummary, g: WeightedGraph,
     di, dj = g.degrees[i], g.degrees[j]
     terms = (psi_j * psi_j / dj - psi_i * psi_j / np.sqrt(di * dj))
     return float(g.d_sum * np.sum(terms / (1.0 - lam * lam)))
+
+
+def partial_mean_hitting_time(g: WeightedGraph, target: int,
+                              spectral: SpectralSummary, *,
+                              two_step: bool = False,
+                              allow_bipartite_pseudoinverse: bool = False
+                              ) -> float:
+    """Expected hitting time of ``target`` from a stationary random start.
+
+    Computed spectrally as (1/pi_t) * sum_{k>=2} psi_kt^2 / (1 - lambda_k)
+    on ``g`` itself, or with 1 - lambda_k^2 for the two-step graph of
+    ``g`` when ``two_step`` is set. The bypass flag additionally drops
+    the -1 eigenspace so the two-step variant stays finite on bipartite
+    input (pseudoinverse semantics).
+    """
+    if not (0 <= target < g.n):
+        raise DomainError(f"target {target} out of range for n={g.n}")
+    if g.n == 1:
+        return 0.0
+    if spectral.eigenvectors.shape[0] != g.n:
+        raise DomainError("spectral summary does not belong to this graph")
+    if allow_bipartite_pseudoinverse and not two_step:
+        raise DomainError("the pseudoinverse bypass applies to the "
+                          "two-step variant only")
+    lam = spectral.eigenvalues
+    mask = _kept_eigenvalues(lam, allow_bipartite_pseudoinverse)
+    denom = (1.0 - lam[mask] ** 2) if two_step else (1.0 - lam[mask])
+    pi_t = g.stationary()[target]
+    psi_t = spectral.eigenvectors[target, mask]
+    return float(np.sum(psi_t ** 2 / denom) / pi_t)
 
 
 def exact_kemeny_two_step(s: SpectralSummary) -> float:

@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import disagree_kit as dk
+from disagree_kit import cli
 from disagree_kit.cli import graph_fingerprint, main
 from disagree_kit.threads import worker_count
 
@@ -224,6 +225,91 @@ def test_sweep_exact_cell_reuses_up_front_value(tmp_path, tri_path,
     rows = json.loads(stdout)
     assert [r["rel_error_vs_exact"] for r in rows] == [0.0, 0.0]
     assert all(r["wall_time_s"] > 0.0 for r in rows)
+
+
+# method -> (compute flags, the same options as a sweep config section,
+#            the direct library call at (graph, epsilon, seed))
+_FRONT_ENDS = {
+    "exact": ([], {},
+              lambda g, eps, seed: dk.exact_disagreement(g).delta),
+    "sample": (["--lambda-bound", "0.9", "--ell", "6", "--walks", "400",
+                "--node-budget", "5", "--reuse-walks"],
+               {"lambda_bound": 0.9, "ell": 6, "walks": 400,
+                "node_budget": 5, "reuse_walks": True},
+               lambda g, eps, seed: dk.sample_disagreement(g, dk.derive_params(
+                   g.n, eps, 0.9, seed=seed, ell=6, walks_per_length=400,
+                   node_budget=5, reuse_walks=True)).value),
+    "approx": (["--oversample-c", "1.5"], {"oversample": 1.5},
+               lambda g, eps, seed: dk.approx_disagreement(
+                   g, eps, seed, oversample=1.5).value),
+    "mc": (["--walks", "40", "--cap", "3000"],
+           {"walks_per_target": 40, "truncation_cap": 3000},
+           lambda g, eps, seed: dk.simulate_mc_disagreement(g, dk.MCConfig(
+               truncation_cap=3000, walks_per_target=40, seed=seed)).value),
+    "simulate": (["--horizon", "2000", "--burn-in", "30"],
+                 {"horizon": 2000, "burn_in": 30},
+                 lambda g, eps, seed: dk.simulate_noisy_degroot(
+                     g, dk.MCConfig(horizon=2000, burn_in=30,
+                                    seed=seed)).value),
+}
+
+
+@pytest.mark.parametrize("method", list(_FRONT_ENDS))
+def test_compute_sweep_cell_and_library_agree(zachary_path, method):
+    flags, options, library = _FRONT_ENDS[method]
+    eps, seed = 0.5, 13
+    code, stdout, err = run_cli(["compute", str(zachary_path), method,
+                                 "--epsilon", str(eps), "--seed", str(seed),
+                                 *flags])
+    assert code == 0, err
+    payload = json.loads(stdout)
+    assert payload["method"] == method and payload["seed"] == seed
+    estimate_key = "delta" if method == "exact" else "delta_hat"
+    assert payload[estimate_key] == payload["result"]
+    g = dk.load_edge_list(zachary_path)
+    cell, wall = cli._run_cell(g, method, eps, seed, {method: options})
+    assert wall > 0.0
+    assert payload["result"] == cell == library(g, eps, seed)
+
+
+def test_sweep_rejects_unknown_method_before_any_work(tmp_path, tri_path,
+                                                      monkeypatch):
+    calls = []
+    monkeypatch.setattr(dk.spectral, "exact_disagreement",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "methods": ["exact", "smaple"],
+        "graphs": [{"path": str(tri_path), "name": "tri"}]}))
+    code, _, err = run_cli(["sweep", str(cfg_path)])
+    assert code == 1 and "smaple" in err
+    assert calls == []
+
+
+def test_sweep_keeps_graphs_with_the_same_name_apart(tmp_path):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "methods": ["exact"],
+        "graphs": [{"family": "psfw", "g": 2}, {"family": "psfw", "g": 3}]}))
+    code, stdout, _ = run_cli(["sweep", str(cfg_path), "--output", "json"])
+    assert code == 0
+    rows = json.loads(stdout)
+    assert [r["graph"] for r in rows] == ["psfw", "psfw"]
+    assert [(r["N"], r["M"]) for r in rows] == [(15, 27), (42, 81)]
+    assert rows[0]["value"] == pytest.approx(1.1635, abs=1e-4)
+    assert rows[1]["value"] == pytest.approx(1.3183, abs=1e-4)
+
+
+def test_sweep_warns_about_costly_ell(tmp_path, tri_path):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "trials": 1, "epsilons": [0.3], "methods": ["sample"],
+        "graphs": [{"path": str(tri_path), "name": "tri"}],
+        "sample": {"lambda_bound": 0.9998, "walks": 1, "node_budget": 1,
+                   "reuse_walks": True}}))
+    code, _, err = run_cli(["sweep", str(cfg_path)])
+    assert code == 0
+    assert "warning:" in err and "ell=26034" in err
 
 
 def test_worker_count_reads_disagree_threads(monkeypatch):

@@ -166,6 +166,38 @@ def test_validate_matches_oracles(case):
                                   in enumerate(sorted(lcc))}
 
 
+def _dict_relabelled_lcc(g, mapping):
+    """The LCC by per-node dict lookups, as restrict_to_lcc once built it."""
+    keep = np.array([u in mapping for u in range(g.n)])
+    mask = keep[g.edge_u] & keep[g.edge_v]
+    lut = np.full(g.n, -1, dtype=np.int64)
+    for old, new in mapping.items():
+        lut[old] = new
+    labels = g.node_labels if g.node_labels is not None else np.arange(g.n)
+    return (len(mapping), lut[g.edge_u[mask]], lut[g.edge_v[mask]],
+            g.edge_w[mask], labels[sorted(mapping, key=mapping.get)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_lists(), st.booleans())
+def test_restrict_to_lcc_matches_dict_relabelling(case, labelled):
+    n, pairs = case
+    labels = np.arange(n) * 3 + 7 if labelled else None
+    g = dk.WeightedGraph.from_edges(
+        n, [(u, v, 1.0 + u + v) for u, v in pairs], node_labels=labels)
+    v = dk.validate(g)
+    lcc = dk.restrict_to_lcc(g, v)
+    if v.connected:
+        assert lcc is g
+        return
+    n_lcc, eu, ev, ew, lcc_labels = _dict_relabelled_lcc(g, v.lcc_node_map)
+    oracle = dk.WeightedGraph(n_lcc, eu, ev, ew)
+    assert lcc.n == n_lcc
+    for attr in ("edge_u", "edge_v", "edge_w"):
+        assert np.array_equal(getattr(lcc, attr), getattr(oracle, attr))
+    assert np.array_equal(lcc.node_labels, lcc_labels)
+
+
 def test_validate_is_cached_per_graph():
     g = triangle()
     assert dk.validate(g) is dk.validate(g)
