@@ -130,10 +130,18 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", choices=["json"], default="json")
 
 
-def _sample_params(g: WeightedGraph, options: dict, eps: float,
-                   seed: int) -> sampler.SampleParams:
+#: how ``compute``/``kemeny`` and a sweep config spell the knobs that
+#: shorten a costly derived ``ell``.
+_FLAG_ADVICE = "--ell or a tighter --lambda-bound"
+_SWEEP_ADVICE = ('"ell" or a tighter "lambda_bound" in the sweep\'s "sample" '
+                 "section")
+
+
+def _sample_params(g: WeightedGraph, options: dict, eps: float, seed: int,
+                   advice: str = _FLAG_ADVICE) -> sampler.SampleParams:
     """Sampler parameters from the ``sample`` options; the spectral bound is
-    estimated when ``lambda_bound`` is missing."""
+    estimated when ``lambda_bound`` is missing. ``advice`` names the knobs
+    in the cost warning."""
     lam = options.get("lambda_bound")
     if lam is None:
         lam = sampler.estimate_gap_bound(g, seed=seed)
@@ -145,8 +153,8 @@ def _sample_params(g: WeightedGraph, options: dict, eps: float,
     if params.ell > sampler.ELL_COST_WARNING:
         warnings.warn(
             f"derived truncation length ell={params.ell} implies walks of "
-            f"up to {2 * (params.ell - 1)} steps; consider --ell or a "
-            "tighter --lambda-bound", CostWarning, stacklevel=2)
+            f"up to {2 * (params.ell - 1)} steps; consider {advice}",
+            CostWarning, stacklevel=2)
     return params
 
 
@@ -174,6 +182,11 @@ METHODS = {
     "simulate": lambda g, opts, eps, seed: dynamics.simulate_noisy_degroot(
         g, _mc_config(opts, seed)),
 }
+
+#: the sweep's view of ``METHODS``: its cost warning names config keys.
+SWEEP_METHODS = {**METHODS, "sample": lambda g, opts, eps, seed:
+                 sampler.sample_disagreement(
+                     g, _sample_params(g, opts, eps, seed, _SWEEP_ADVICE))}
 
 
 def _method_options(args) -> dict:
@@ -317,9 +330,9 @@ def _sweep_graphs(cfg: dict, base: Path) -> list[tuple[str, WeightedGraph]]:
 
 def _run_cell(g: WeightedGraph, method: str, eps: float, seed: int,
               cfg: dict) -> tuple[float, float]:
-    """One sweep cell through ``METHODS``: (value, wall time)."""
+    """One sweep cell through ``SWEEP_METHODS``: (value, wall time)."""
     t0 = time.perf_counter()
-    value = METHODS[method](g, cfg.get(method, {}), eps, seed).value
+    value = SWEEP_METHODS[method](g, cfg.get(method, {}), eps, seed).value
     return value, time.perf_counter() - t0
 
 

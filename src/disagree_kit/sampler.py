@@ -149,11 +149,26 @@ def _sampled_series_sums(g: WeightedGraph, params: SampleParams
     return nodes, sums
 
 
+def _scale_up_stderr(n: int, contribs: np.ndarray) -> float:
+    """Standard error of the scale-up (n/|X|) * sum(contribs) over a node
+    set X drawn uniformly without replacement (Horvitz-Thompson, with the
+    finite-population correction): n * sqrt((1 - |X|/n) * s^2 / |X|)."""
+    k = len(contribs)
+    if k < 2:
+        return float("nan")
+    return float(n * math.sqrt((1.0 - k / n) * np.var(contribs, ddof=1) / k))
+
+
 def sample_disagreement(g: WeightedGraph,
                         params: SampleParams) -> DisagreementEstimate:
     """Estimate disagreement from truncated walks on a sampled node set:
 
         (n/|X|) * sum_{i in X} pi_i * sum_{j<ell} (p^{2j}_ii - pi_i)
+
+    ``diagnostics["stderr"]`` is the Horvitz-Thompson standard error of
+    the node draw. The per-node walk noise enters it through the spread
+    of the contributions, discounted by the finite-population factor, so
+    with |X| = n it reads 0.
     """
     t0 = time.perf_counter()
     nodes, sums = _sampled_series_sums(g, params)
@@ -163,7 +178,8 @@ def sample_disagreement(g: WeightedGraph,
     return DisagreementEstimate(
         method="sample", value=value, params=params.to_json(),
         seed=params.seed, wall_time_s=time.perf_counter() - t0,
-        per_node={int(i): float(c) for i, c in zip(nodes, contribs)})
+        per_node={int(i): float(c) for i, c in zip(nodes, contribs)},
+        diagnostics={"stderr": _scale_up_stderr(g.n, contribs)})
 
 
 def sample_kemeny_two_step(g: WeightedGraph,
@@ -176,7 +192,8 @@ def sample_kemeny_two_step(g: WeightedGraph,
     return DisagreementEstimate(
         method="sample-kemeny", value=value, params=params.to_json(),
         seed=params.seed, wall_time_s=time.perf_counter() - t0,
-        per_node={int(i): float(c) for i, c in zip(nodes, sums)})
+        per_node={int(i): float(c) for i, c in zip(nodes, sums)},
+        diagnostics={"stderr": _scale_up_stderr(g.n, sums)})
 
 
 def estimate_gap_bound(g: WeightedGraph, *, iters: int = 200, seed: int = 0,

@@ -3,6 +3,19 @@
 Transitions follow a_uv / d_u. Unweighted rows use direct uniform
 indexing into the CSR neighbor arrays; weighted rows use per-node alias
 tables built once, so every step is O(1) per walker.
+
+``NeighborSampler.advance`` moves walkers from uniforms the caller
+supplies; ``step`` draws them from one generator. A caller that walks
+many RNG streams at once, like the batched hitting walks of
+``dynamics.simulate_mc_disagreement``, reads each stream's uniforms in
+the order ``step`` would draw them and calls ``advance`` once for all
+streams, so seeded results do not depend on the batching (see
+``dynamics.MC_CHUNK_WALKERS`` for its memory bound). The sampler's
+return-probability walks still call ``step`` once per node and length,
+because ``test_instrument_wraps_every_binding_and_restores_them`` in
+``bench/selftest.py`` pins that path's call counts (4
+``estimate_return_probabilities`` calls, 32 ``step`` calls); batching it
+waits for a change to the benchmark.
 """
 
 from __future__ import annotations
@@ -60,16 +73,29 @@ class NeighborSampler:
                 slot[lo + i] = i
         return prob, slot
 
+    @property
+    def draws_per_step(self) -> int:
+        """Uniforms one walker consumes per step: a neighbor pick, plus
+        the alias accept test on weighted rows."""
+        return 1 if self.uniform else 2
+
+    def advance(self, pos: np.ndarray, pick: np.ndarray,
+                accept: np.ndarray | None = None) -> np.ndarray:
+        """Advance every walker in ``pos`` by one step, walker i using the
+        uniforms ``pick[i]`` and (weighted rows only) ``accept[i]``."""
+        base = self.indptr[pos]
+        k = (pick * self.counts[pos]).astype(np.int64)
+        if not self.uniform:
+            slot = base + k
+            k = np.where(accept < self.alias_prob[slot], k,
+                         self.alias_slot[slot])
+        return self.indices[base + k]
+
     def step(self, pos: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Advance every walker in ``pos`` by one step."""
-        base = self.indptr[pos]
-        deg = self.counts[pos]
-        k = (rng.random(len(pos)) * deg).astype(np.int64)
-        if self.uniform:
-            return self.indices[base + k]
-        accept = rng.random(len(pos)) < self.alias_prob[base + k]
-        k = np.where(accept, k, self.alias_slot[base + k])
-        return self.indices[base + k]
+        pick = rng.random(len(pos))
+        accept = None if self.uniform else rng.random(len(pos))
+        return self.advance(pos, pick, accept)
 
     def walk(self, pos: np.ndarray, steps: int,
              rng: np.random.Generator) -> np.ndarray:

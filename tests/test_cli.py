@@ -118,7 +118,9 @@ def test_cost_warning_to_stderr(tri_path):
         "--lambda-bound", "0.9998", "--walks", "1", "--node-budget", "1",
         "--reuse-walks"])
     assert code == 0
-    assert "warning:" in err and "ell=26034" in err
+    assert err == ("warning: derived truncation length ell=26034 implies "
+                   "walks of up to 52066 steps; consider --ell or a tighter "
+                   "--lambda-bound\n")
 
 
 def test_fingerprint_stable_under_reordering():
@@ -310,6 +312,8 @@ def test_sweep_warns_about_costly_ell(tmp_path, tri_path):
     code, _, err = run_cli(["sweep", str(cfg_path)])
     assert code == 0
     assert "warning:" in err and "ell=26034" in err
+    # a sweep names its config keys, not the compute flags
+    assert '"ell" or a tighter "lambda_bound"' in err and "--" not in err
 
 
 def test_worker_count_reads_disagree_threads(monkeypatch):

@@ -168,3 +168,25 @@ def test_additive_error_bound_holds_on_small_graphs():
             if abs(est - delta) > (np.sqrt(g.n) + 1) * eps:
                 violations += 1
     assert violations / trials <= 0.05
+
+
+def test_sample_stderr_is_horvitz_thompson_without_replacement():
+    g = dk.load_bundled("zachary")
+
+    def run(budget, seed):
+        params = dk.derive_params(g.n, 0.25, 0.9, seed=seed, ell=6,
+                                  walks_per_length=400, node_budget=budget,
+                                  reuse_walks=True)
+        return dk.sample_disagreement(g, params)
+
+    est = run(8, 0)
+    contribs = np.array(list(est.per_node.values()))
+    assert est.diagnostics["stderr"] == pytest.approx(
+        g.n * np.sqrt((1 - 8 / g.n) * contribs.var(ddof=1) / 8), rel=1e-12)
+    assert run(g.n, 0).diagnostics["stderr"] == 0.0  # every node drawn
+    assert np.isnan(run(1, 0).diagnostics["stderr"])
+    # it tracks the spread of the estimate over node draws
+    runs = [run(8, seed) for seed in range(40)]
+    spread = np.std([r.value for r in runs], ddof=1)
+    typical = np.mean([r.diagnostics["stderr"] for r in runs])
+    assert 0.5 < spread / typical < 2.0
