@@ -101,14 +101,10 @@ def test_json_payload():
     assert "max_truncation_rate" in payload["diagnostics"]
 
 
-def _mc_quiet(g, cfg):
+def _assert_mc_matches_loop(g, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # truncation warnings are expected
-        return dk.simulate_mc_disagreement(g, cfg)
-
-
-def _assert_mc_matches_loop(g, cfg):
-    est = _mc_quiet(g, cfg)
+        est = dk.simulate_mc_disagreement(g, cfg)
     value, mean_hits, trunc_rates, _ = mc_loop_oracle(g, cfg)
     pi = g.stationary()
     assert est.value == value
