@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 import warnings
@@ -222,9 +223,22 @@ def _compute_record(g: WeightedGraph, method: str, options: dict,
                      est.value, wall, seed, _now(), est.to_json())
 
 
-def _emit_record(record: RunRecord) -> None:
-    json.dump(record.to_json(), sys.stdout, indent=2, sort_keys=True,
-              default=float)
+def _strict(obj):
+    """``obj`` as strict JSON values: a non-finite float, which JSON cannot
+    spell, becomes None and any other non-JSON scalar a float."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    obj = float(obj)
+    return obj if math.isfinite(obj) else None
+
+
+def _write_json(obj) -> None:
+    json.dump(_strict(obj), sys.stdout, indent=2, sort_keys=True,
+              allow_nan=False)
     sys.stdout.write("\n")
 
 
@@ -268,7 +282,7 @@ def cmd_compute(args) -> int:
     g = load_edge_list(args.graph)
     record = _compute_record(g, args.method, _method_options(args),
                              args.epsilon, args.seed, " ".join(sys.argv[1:]))
-    _emit_record(record)
+    _write_json(record.to_json())
     return 0
 
 
@@ -282,7 +296,7 @@ def cmd_kemeny(args) -> int:
         record = RunRecord(command, "", "kemeny",
                            {"variant": "closed-form", "g": args.psfw_g},
                            value, time.perf_counter() - t0, None, _now())
-        _emit_record(record)
+        _write_json(record.to_json())
         return 0
     if args.graph is None:
         raise UsageError("kemeny exact/sample needs a graph file")
@@ -300,7 +314,7 @@ def cmd_kemeny(args) -> int:
         record = RunRecord(command, graph_fingerprint(g), "kemeny",
                            {"variant": "sample", **est.params}, est.value,
                            time.perf_counter() - t0, est.seed, _now())
-    _emit_record(record)
+    _write_json(record.to_json())
     return 0
 
 
@@ -413,8 +427,7 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"sweep config is not valid JSON: {exc}") from None
     rows = run_sweep(cfg, cfg_path.parent)
     if args.output == "json":
-        json.dump(rows, sys.stdout, indent=2, sort_keys=True, default=float)
-        sys.stdout.write("\n")
+        _write_json(rows)
         return 0
     with_rel = rows and "rel_error_vs_exact" in rows[0]
     columns = [c for c in SWEEP_COLUMNS

@@ -51,15 +51,23 @@ _BUFFER_MOVES = 2
 #: nodes than this.
 SIMULATE_BLOCK_ENTRIES = 1 << 16
 
+#: most burn-in steps the noisy recursion derives on its own. The
+#: derived 10 * ceil(1/(1 - lambda)) passes it once the inflated spectral
+#: estimate exceeds 1 - 1e-5, and reaches 10^10 steps where that estimate
+#: hits its 1 - 1e-9 ceiling; such a run would never end, so it is
+#: refused and the burn-in must be given explicitly.
+MAX_DERIVED_BURN_IN = 1_000_000
+
 
 @dataclass(frozen=True)
 class MCConfig:
     """Knobs for both simulators.
 
     ``burn_in=None`` derives 10/(1 - lambda_est) steps from a measured
-    spectral bound. ``truncation_cap`` limits each hitting walk (in
-    two-step moves); truncated walks bias the estimate down, so their
-    rate is reported instead of corrected.
+    spectral estimate and refuses more than ``MAX_DERIVED_BURN_IN``.
+    ``truncation_cap`` limits each hitting walk (in two-step moves);
+    truncated walks bias the estimate down, so their rate is reported
+    instead of corrected.
     """
 
     burn_in: int | None = None
@@ -90,6 +98,12 @@ def simulate_noisy_degroot(g: WeightedGraph,
     if burn is None:
         lam = estimate_gap_bound(g, iters=100, seed=config.seed)
         burn = 10 * int(math.ceil(1.0 / (1.0 - lam)))
+        if burn > MAX_DERIVED_BURN_IN:
+            raise ResourceError(
+                f"the derived burn-in of {burn} steps (spectral estimate "
+                f"{lam!r}) exceeds {MAX_DERIVED_BURN_IN}; give the burn-in "
+                'with --burn-in, or the "burn_in" key of a sweep\'s '
+                '"simulate" section')
     if burn < 0:
         raise DomainError("burn-in must be >= 0")
     pi = g.stationary()

@@ -14,14 +14,13 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError
 from .graph import WeightedGraph, require_ergodic
 from .graph import validate  # noqa: F401  bench/selftest.py checks this binding
 from .results import DisagreementEstimate
 from .rng import TAG_GAP, TAG_NODES, TAG_RETURNS, derive_rng
-from .spectral import truncation_length
+from .spectral import normalized_adjacency, truncation_length
 from .walks import NeighborSampler
 
 #: derived truncation lengths above this trigger a cost warning.
@@ -198,16 +197,18 @@ def sample_kemeny_two_step(g: WeightedGraph,
 
 def estimate_gap_bound(g: WeightedGraph, *, iters: int = 200, seed: int = 0,
                        inflate: float = 1.05) -> float:
-    """Power-iteration bound on max(|lambda_2|, |lambda_N|).
+    """Power-iteration estimate of max(|lambda_2|, |lambda_N|), inflated.
 
-    Runs on S^2 with the top eigenvector deflated analytically, then
-    inflates the Rayleigh quotient by ``inflate`` (capped below 1) to be
-    safe for use as a truncation bound.
+    Runs on S^2 with the top eigenvector deflated analytically and
+    returns sqrt(||S^2 v||) for the last unit iterate v, a Rayleigh-type
+    quotient that approaches the true value from below, times
+    ``inflate`` and capped at 1 - 1e-9. It is an estimate, not a
+    certified bound: before the iteration converges, the inflated value
+    can still lie below the true one.
     """
     if g.n < 2:
         raise DomainError("gap estimation needs at least 2 nodes")
-    inv_sqrt_d = 1.0 / np.sqrt(g.degrees)
-    s_mat = sp.diags(inv_sqrt_d) @ g.adjacency_csr() @ sp.diags(inv_sqrt_d)
+    s_mat = normalized_adjacency(g)
     psi1 = np.sqrt(g.stationary())
     rng = derive_rng(seed, TAG_GAP)
     v = rng.standard_normal(g.n)

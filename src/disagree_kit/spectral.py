@@ -1,8 +1,13 @@
 """Dense exact computation of disagreement, hitting times, and Kemeny constants.
 
-Everything here works from the full symmetric eigendecomposition of the
-normalized adjacency matrix S = D^{-1/2} A D^{-1/2} and serves as the
-ground-truth oracle for the sampling estimators.
+Everything here works from the normalized adjacency matrix
+S = D^{-1/2} A D^{-1/2} and serves as the ground-truth oracle for the
+sampling estimators. ``decompose`` computes the eigenvalues of S only,
+which is all the Kemeny constant and the spectral checks need; exact
+disagreement reads diag(pinv(I - S^2)) from one Cholesky factorisation.
+The eigenvectors, which only the hitting-time functions and the
+bipartite pseudoinverse bypass read, are computed by a full ``eigh`` the
+first time a summary's ``eigenvectors`` is read.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DomainError, NearBipartiteWarning, ResourceError
 from .graph import (DENSE_NODE_CAP, WeightedGraph, require_ergodic,
@@ -21,22 +27,47 @@ from .graph import (DENSE_NODE_CAP, WeightedGraph, require_ergodic,
 _UNIT_EIGEN_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class SpectralSummary:
     """Eigenvalues (descending) and orthonormal eigenvectors of S.
 
     ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``;
     ``gap_bound`` is max(|lambda_2|, |lambda_N|), the contraction factor
     of the two-step walk on the complement of the stationary direction.
+
+    A summary from ``decompose`` holds no eigenvectors: it is given the
+    graph instead, and the first read of ``eigenvectors`` runs a full
+    ``eigh`` of S and caches the result on the summary.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    gap_bound: float
+    def __init__(self, eigenvalues: np.ndarray,
+                 eigenvectors: np.ndarray | None, gap_bound: float, *,
+                 graph: WeightedGraph | None = None) -> None:
+        if eigenvectors is None and graph is None:
+            raise DomainError("a spectral summary needs its eigenvectors "
+                              "or the graph to compute them from")
+        self.eigenvalues = eigenvalues
+        self.gap_bound = gap_bound
+        self._eigenvectors = eigenvectors
+        self._graph = graph
 
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if self._eigenvectors is None:
+            # eigh orders its eigenvalues ascending; reversed, its vectors
+            # pair by rank with the descending stored eigenvalues
+            vecs = np.linalg.eigh(normalized_adjacency_dense(self._graph))[1]
+            self._eigenvectors = vecs[:, ::-1]
+        return self._eigenvectors
+
+
+def normalized_adjacency(g: WeightedGraph) -> sp.csr_matrix:
+    """S = D^{-1/2} A D^{-1/2} as a sparse matrix."""
+    inv_sqrt_d = sp.diags(1.0 / np.sqrt(g.degrees))
+    return inv_sqrt_d @ g.adjacency_csr() @ inv_sqrt_d
 
 
 def normalized_adjacency_dense(g: WeightedGraph) -> np.ndarray:
@@ -47,7 +78,9 @@ def normalized_adjacency_dense(g: WeightedGraph) -> np.ndarray:
 def decompose(g: WeightedGraph, *, allow_bipartite: bool = False,
               cap: int = DENSE_NODE_CAP,
               lambda1_tol: float = 1e-8) -> SpectralSummary:
-    """Full eigendecomposition of the normalized adjacency matrix.
+    """Eigenvalues of the normalized adjacency matrix, descending.
+
+    The summary computes the eigenvectors on their first read.
 
     Bipartite inputs are rejected (their spectrum contains -1, which
     makes 1/(1 - lambda^2) singular) unless ``allow_bipartite`` is set
@@ -58,10 +91,7 @@ def decompose(g: WeightedGraph, *, allow_bipartite: bool = False,
     if g.n == 1:
         return SpectralSummary(np.ones(1), np.ones((1, 1)), 0.0)
     require_ergodic(g, "decompose", allow_bipartite=allow_bipartite)
-    vals, vecs = np.linalg.eigh(normalized_adjacency_dense(g))
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals = np.linalg.eigvalsh(normalized_adjacency_dense(g))[::-1]
     if abs(vals[0] - 1.0) > lambda1_tol:
         raise DomainError(
             f"leading eigenvalue {vals[0]!r} deviates from 1 beyond "
@@ -72,7 +102,7 @@ def decompose(g: WeightedGraph, *, allow_bipartite: bool = False,
             f"near-bipartite spectrum: eigenvalue {worst!r} makes "
             "1/(1-lambda^2) blow up", NearBipartiteWarning, stacklevel=2)
     gap = float(max(abs(vals[1]), abs(vals[-1])))
-    return SpectralSummary(vals, vecs, gap)
+    return SpectralSummary(vals, None, gap, graph=g)
 
 
 @dataclass(frozen=True)
@@ -133,11 +163,49 @@ def two_step_pinv_diagonal(s: SpectralSummary, *,
     return (psi * psi) @ (1.0 / denom)
 
 
+def _two_step_pinv_diagonal_cholesky(g: WeightedGraph) -> np.ndarray:
+    """Diagonal of pinv(I - S^2) from one Cholesky factorisation.
+
+    On a connected non-bipartite graph psi = sqrt(pi) spans the kernel
+    of I - S^2, so M = I - S^2 + psi psi^T is positive definite and
+    M^-1 = pinv(I - S^2) + psi psi^T. With M = L L^T the diagonal of
+    M^-1 is the squared column norms of L^-1, and pi = psi^2 is
+    subtracted from it. A failed factorisation raises ``DomainError``.
+    """
+    # imported here: scipy.linalg adds ~0.1 s and ~8 MB to every CLI run
+    from scipy.linalg.lapack import dpotrf, dtrtri
+    pi = g.stationary()
+    s_mat = normalized_adjacency(g)
+    m_mat = -(s_mat @ s_mat).toarray()
+    m_mat[np.diag_indices(g.n)] += 1.0
+    psi = np.sqrt(pi)
+    m_mat += np.outer(psi, psi)
+    # M is symmetric: its transpose is M in the Fortran order that LAPACK
+    # factors in place, without a copy
+    chol, info = dpotrf(m_mat.T, lower=1, clean=1, overwrite_a=1)
+    if info > 0:
+        raise DomainError(
+            f"I - S^2 + psi psi^T is not positive definite (its leading "
+            f"minor of order {info} is not); the graph is near-bipartite "
+            "or its data is inconsistent")
+    inv_chol, info = dtrtri(chol, lower=1, overwrite_c=1)
+    if info != 0:
+        raise DomainError(f"inverting the Cholesky factor failed "
+                          f"(LAPACK dtrtri info={info})")
+    return np.einsum("ij,ij->j", inv_chol, inv_chol) - pi
+
+
 def exact_disagreement(g: WeightedGraph,
                        s: SpectralSummary | None = None, *,
                        allow_bipartite_pseudoinverse: bool = False
                        ) -> DisagreementExact:
-    """Disagreement delta = sum_i pi_i * sum_{k>=2} psi_ki^2/(1-lambda_k^2)."""
+    """Disagreement delta = sum_i pi_i * sum_{k>=2} psi_ki^2/(1-lambda_k^2).
+
+    The pseudoinverse diagonal comes from one Cholesky factorisation
+    (``_two_step_pinv_diagonal_cholesky``); only the bipartite bypass,
+    where that factorisation does not exist, reads the eigenvectors of
+    ``s``. Without ``s``, ``decompose`` runs first for its checks.
+    """
     if s is None:
         s = decompose(g, allow_bipartite=allow_bipartite_pseudoinverse)
     if s.n != g.n:
@@ -146,8 +214,10 @@ def exact_disagreement(g: WeightedGraph,
         pi = np.ones(1)
         return DisagreementExact(0.0, pi, np.zeros(1), np.zeros(1))
     pi = g.stationary()
-    ldag = two_step_pinv_diagonal(
-        s, allow_bipartite_pseudoinverse=allow_bipartite_pseudoinverse)
+    if allow_bipartite_pseudoinverse:
+        ldag = two_step_pinv_diagonal(s, allow_bipartite_pseudoinverse=True)
+    else:
+        ldag = _two_step_pinv_diagonal_cholesky(g)
     contrib = pi * ldag
     return DisagreementExact(float(contrib.sum()), pi, ldag, contrib)
 
@@ -188,7 +258,7 @@ def partial_mean_hitting_time(g: WeightedGraph, target: int,
         raise DomainError(f"target {target} out of range for n={g.n}")
     if g.n == 1:
         return 0.0
-    if spectral.eigenvectors.shape[0] != g.n:
+    if spectral.n != g.n:
         raise DomainError("spectral summary does not belong to this graph")
     if allow_bipartite_pseudoinverse and not two_step:
         raise DomainError("the pseudoinverse bypass applies to the "

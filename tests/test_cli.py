@@ -102,6 +102,21 @@ def test_compute_bipartite_exits_2(path5_path):
     assert "error:" in err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_compute_writes_an_undefined_stderr_as_null(tri_path):
+    # one sampled node leaves the standard error undefined
+    code, stdout, _ = run_cli([
+        "compute", str(tri_path), "sample", "--lambda-bound", "0.5",
+        "--node-budget", "1"])
+    assert code == 0
+    payload = json.loads(stdout, parse_constant=_reject_constant)
+    assert payload["diagnostics"]["stderr"] is None
+    assert payload["result"] > 0.0
+
+
 def test_compute_sample_needs_lambda(tri_path):
     code, _, _ = run_cli(["compute", str(tri_path), "sample"])
     assert code == 1
@@ -195,6 +210,23 @@ def test_sweep_json_output(tmp_path, tri_path):
     rows = json.loads(stdout)
     assert rows[0]["graph"] == "tri"
     assert rows[0]["value"] == pytest.approx(8.0 / 9.0)
+
+
+def test_sweep_json_writes_a_non_finite_value_as_null(tmp_path, tri_path,
+                                                     monkeypatch):
+    monkeypatch.setattr(dk.sampler, "sample_disagreement",
+                        lambda g, params: dk.DisagreementEstimate(
+                            "sample", float("nan"), {}))
+    cfg = {"trials": 1, "epsilons": [0.25], "methods": ["sample"],
+           "graphs": [{"path": str(tri_path), "name": "tri"}],
+           "sample": {"lambda_bound": 0.5}}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, stdout, _ = run_cli(["sweep", str(cfg_path), "--output", "json"])
+    assert code == 0
+    rows = json.loads(stdout, parse_constant=_reject_constant)
+    assert rows[0]["value"] is None
+    assert rows[0]["rel_error_vs_exact"] is None
 
 
 def test_sweep_empty_config_is_usage_error(tmp_path):

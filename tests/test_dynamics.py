@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from unittest import mock
 
@@ -30,6 +31,19 @@ def test_simulate_auto_burn_in():
     est = dk.simulate_noisy_degroot(triangle(),
                                     dk.MCConfig(horizon=20_000, seed=0))
     assert est.diagnostics["burn_in_used"] >= 10
+
+
+def test_simulate_refuses_a_derived_burn_in_beyond_the_cap():
+    # the inflated gap estimate of this graph hits its 1 - 1e-9 ceiling,
+    # which derives 10^10 burn-in steps
+    g = dk.generate_gsw(60, 0.5, seed=3)
+    t0 = time.perf_counter()
+    with pytest.raises(dk.ResourceError, match='--burn-in.*"burn_in"'):
+        dk.simulate_noisy_degroot(g, dk.MCConfig(horizon=1_000, seed=0))
+    assert time.perf_counter() - t0 < 1.0
+    est = dk.simulate_noisy_degroot(
+        g, dk.MCConfig(burn_in=100, horizon=1_000, seed=0))
+    assert est.diagnostics["burn_in_used"] == 100
 
 
 def test_simulate_noise_seeds_agree():

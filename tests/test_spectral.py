@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import disagree_kit as dk
 from disagree_kit.spectral import truncation_length, two_step_pinv_diagonal
@@ -177,6 +180,8 @@ def test_degeneracy_rotation_invariance():
                 vecs[:, start:end] = vecs[:, start:end] @ q
             start = end
     rotated = dk.SpectralSummary(vals, vecs, s.gap_bound)
+    assert np.allclose(two_step_pinv_diagonal(rotated),
+                       two_step_pinv_diagonal(s), atol=1e-9)
     assert dk.exact_disagreement(g, rotated).delta == pytest.approx(
         dk.exact_disagreement(g, s).delta, abs=1e-9)
     assert dk.exact_kemeny_two_step(rotated) == pytest.approx(
@@ -193,3 +198,76 @@ def test_near_unit_eigenvalue_warning():
     g = dk.WeightedGraph.from_edges(6, edges)
     with pytest.warns(dk.errors.NearBipartiteWarning):
         dk.decompose(g)
+
+
+def _eigh_route(g):
+    """delta and ldag from the full-eigh eigenvectors, the oracle of the
+    Cholesky route."""
+    ldag = two_step_pinv_diagonal(dk.decompose(g))
+    return float(g.stationary() @ ldag), ldag
+
+
+def _tree_with_a_triangle(n, chords, seed, weighted):
+    """Connected non-bipartite graph: a triangle on nodes 0-2, a random
+    tree hanging the other nodes on it, and up to ``chords`` random extra
+    edges; weights uniform in [0.5, 2] when ``weighted``."""
+    rng = np.random.default_rng(seed)
+    pairs = {(0, 1), (1, 2), (0, 2)}
+    pairs |= {(int(rng.integers(0, v)), v) for v in range(3, n)}
+    for u, v in rng.integers(0, n, size=(chords, 2)):
+        if u != v:
+            pairs.add((int(min(u, v)), int(max(u, v))))
+    return dk.WeightedGraph.from_edges(n, [
+        (u, v, float(rng.uniform(0.5, 2.0)) if weighted else 1.0)
+        for u, v in sorted(pairs)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 60), chords=st.integers(0, 300),
+       seed=st.integers(0, 2 ** 32 - 1), weighted=st.booleans())
+def test_cholesky_delta_matches_the_eigh_route(n, chords, seed, weighted):
+    g = _tree_with_a_triangle(n, chords, seed, weighted)
+    res = dk.exact_disagreement(g)
+    delta, ldag = _eigh_route(g)
+    assert res.delta == pytest.approx(delta, rel=1e-10)
+    assert np.allclose(res.ldag_diag, ldag, rtol=1e-10, atol=0.0)
+
+
+def test_cholesky_delta_matches_the_eigh_route_on_gsw_1024():
+    g = dk.generate_gsw(1024, 0.5, seed=11)
+    res = dk.exact_disagreement(g)
+    delta, ldag = _eigh_route(g)
+    assert res.delta == pytest.approx(delta, rel=1e-10)
+    assert np.allclose(res.ldag_diag, ldag, rtol=1e-10, atol=0.0)
+
+
+def test_exact_paths_run_no_eigh_and_eigenvectors_run_it_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    g = random_connected_graph(30, 0.3, seed=4, weighted=True)
+    s = dk.decompose(g)
+    dk.exact_disagreement(g, s)
+    dk.exact_disagreement(g)
+    dk.exact_kemeny_two_step(s)
+    assert calls == []
+    first = s.eigenvectors
+    assert s.eigenvectors is first
+    assert len(calls) == 1
+    # paired by rank with the stored eigenvalues
+    s_mat = dk.spectral.normalized_adjacency_dense(g)
+    assert np.allclose(s_mat @ first, first * s.eigenvalues, atol=1e-10)
+
+
+def test_failed_cholesky_raises_domain_error(monkeypatch):
+    def failing_dpotrf(a, **kwargs):
+        return a, 3
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing_dpotrf)
+    with pytest.raises(dk.DomainError, match="not positive definite"):
+        dk.exact_disagreement(triangle())
