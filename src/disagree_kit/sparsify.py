@@ -20,17 +20,13 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConvergenceError, DomainError, ResourceError
+from .errors import ConvergenceError, DomainError
 from .graph import WeightedGraph, component_roots, require_ergodic
 from .graph import validate  # noqa: F401  bench/selftest.py checks this binding
 from .results import DisagreementEstimate
 from .rng import TAG_SKETCH, TAG_SPARSIFY, derive_rng
 from .threads import worker_count
 from .walks import NeighborSampler
-
-#: dense fallbacks (identity-sketch hook, exact smallest eigenvalue) are
-#: limited to this many nodes.
-DENSE_SOLVE_CAP = 600
 
 #: a CG block of n x k entries is split across at most n k // this many
 #: threads; on 2 cores, a two-way split of a smaller block saved nothing
@@ -94,17 +90,31 @@ class SparsifiedLaplacian:
 
     @cached_property
     def lambda_min_positive(self) -> float:
-        """Smallest nonzero Laplacian eigenvalue (exact when small, else a
-        deflated LOBPCG estimate shrunk for safety)."""
-        if self.n <= DENSE_SOLVE_CAP:
-            vals = np.linalg.eigvalsh(self.matrix.toarray())
-            return float(vals[1])
-        rng = np.random.default_rng(12345)
-        x0 = rng.standard_normal((self.n, 1))
-        ones = np.ones((self.n, 1)) / math.sqrt(self.n)
-        vals, _ = sp.linalg.lobpcg(self.matrix, x0, Y=ones, largest=False,
-                                   maxiter=200, tol=1e-6)
-        return 0.7 * float(vals[0])
+        """A certified lower bound 2 w_min / (n ecc(0)) on the smallest
+        nonzero Laplacian eigenvalue.
+
+        Mohar (1991, "Eigenvalues, diameter, and mean distance in graphs")
+        proves lambda_2 >= 4 / (n D) for a connected unweighted graph of
+        diameter D. L >= w_min L(support) scales that by w_min, and one
+        breadth-first search bounds D <= 2 ecc(0)."""
+        indptr, indices = self.matrix.indptr, self.matrix.indices
+        seen = np.zeros(self.n, dtype=bool)
+        seen[0] = True
+        frontier = np.array([0])
+        ecc = -1
+        while frontier.size:  # one level per pass, gathering its CSR rows
+            ecc += 1
+            starts = indptr[frontier]
+            counts = indptr[frontier + 1] - starts
+            slots = (np.arange(counts.sum())
+                     + np.repeat(starts - np.cumsum(counts) + counts, counts))
+            nbrs = indices[slots]
+            nbrs = nbrs[~seen[nbrs]]
+            seen[nbrs] = True
+            frontier = np.unique(nbrs)
+        if not seen.all():
+            raise DomainError("the sparsified graph is disconnected")
+        return 2.0 * self.w_min / (self.n * ecc)
 
 
 def sparsify_two_step(g: WeightedGraph, epsilon: float, seed: int = 0, *,
@@ -179,7 +189,7 @@ def laplacian_solve(lap: SparsifiedLaplacian, y: np.ndarray, kappa: float, *,
         raise DomainError("right-hand side must be orthogonal to ones")
     n, k = b.shape
     # cached properties are read here, not first in the workers, so that
-    # LOBPCG runs once and its warnings come from the calling thread
+    # each is computed once
     mat = lap.matrix
     lam_min = lap.lambda_min_positive
     inv_diag = 1.0 / lap.degrees
@@ -287,16 +297,17 @@ def _sketched_rows(lap: SparsifiedLaplacian, k: int, seed: int) -> np.ndarray:
 def approx_disagreement(g: WeightedGraph, epsilon: float, seed: int = 0, *,
                         oversample: float = 1.0,
                         kappa: float | None = None,
-                        max_cg_iters: int | None = None,
-                        sketch: str = "jl") -> DisagreementEstimate:
+                        max_cg_iters: int | None = None
+                        ) -> DisagreementEstimate:
     """Sparsify, sketch, and solve:
 
         delta ~= d_sum * sum_i pi_i^2 * ||Ztilde e_i - Ztilde pi||^2
 
-    where the rows of Ztilde solve the sparsified Laplacian against the
-    sketched incidence rows. ``sketch="identity"`` is a test hook that
-    replaces the sketch and solver with the dense pseudoinverse pathway,
-    recovering the quadratic forms exactly.
+    where the k rows of Ztilde solve the sparsified Laplacian against the
+    sketched incidence rows. The value is the mean over the rows of
+    k d_sum sum_i pi_i^2 (z_ki - (Ztilde pi)_k)^2, and
+    ``diagnostics["stderr"]`` is their standard deviation over sqrt(k):
+    it covers the sketch's noise only, not the sparsifier's.
     """
     t0 = time.perf_counter()
     if not 0.0 < epsilon < 1.0:
@@ -304,38 +315,22 @@ def approx_disagreement(g: WeightedGraph, epsilon: float, seed: int = 0, *,
     lap = sparsify_two_step(g, min(epsilon, 0.5), seed,
                             oversample=oversample)
     pi = g.stationary()
-    diagnostics: dict = {"s": lap.sample_count, "m_sparse": lap.m}
-    if sketch == "identity":
-        if g.n > DENSE_SOLVE_CAP:
-            raise ResourceError("identity-sketch hook is dense-only")
-        z = _identity_sketch_rows(lap)
-        diagnostics["k"] = lap.m
-        iters = 0
-        kappa_used = 0.0
-    elif sketch == "jl":
-        k = jl_dimension(g.n, epsilon)
-        kappa_used = solver_tolerance(lap, epsilon) if kappa is None else kappa
-        q = _sketched_rows(lap, k, seed)
-        x, iters = laplacian_solve(lap, q, kappa_used,
-                                   max_iters=max_cg_iters)
-        z = x.T
-        # the block solver shares one iteration count across the k solves
-        diagnostics.update(k=k, kappa=kappa_used, cg_iterations=[iters])
-    else:
-        raise DomainError(f"unknown sketch mode {sketch!r}")
+    k = jl_dimension(g.n, epsilon)
+    kappa_used = solver_tolerance(lap, epsilon) if kappa is None else kappa
+    q = _sketched_rows(lap, k, seed)
+    x, iters = laplacian_solve(lap, q, kappa_used, max_iters=max_cg_iters)
+    z = x.T
     p = z @ pi
     diffs = z - p[:, None]
     c = np.einsum("ij,ij->j", diffs, diffs)
     value = float(g.d_sum * np.sum(pi * pi * c))
+    per_row = k * g.d_sum * (diffs * diffs) @ (pi * pi)
     return DisagreementEstimate(
         method="approx", value=value,
         params={"epsilon": epsilon, "seed": seed, "oversample": oversample},
         seed=seed, wall_time_s=time.perf_counter() - t0,
         per_node={i: float(g.d_sum * pi[i] ** 2 * c[i]) for i in range(g.n)},
-        diagnostics=diagnostics)
-
-
-def _identity_sketch_rows(lap: SparsifiedLaplacian) -> np.ndarray:
-    lap_pinv = np.linalg.pinv(lap.matrix.toarray(), hermitian=True)
-    half = sp.diags(np.sqrt(lap.edge_w)) @ lap.incidence()
-    return np.asarray(half @ lap_pinv)
+        # the block solver shares one iteration count across the k solves
+        diagnostics={"s": lap.sample_count, "m_sparse": lap.m, "k": k,
+                     "kappa": kappa_used, "cg_iterations": [iters],
+                     "stderr": float(per_row.std(ddof=1) / math.sqrt(k))})

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import disagree_kit as dk
 from disagree_kit import sparsify
@@ -260,6 +263,7 @@ def test_sketch_solve_sandwich_on_quadratic_forms():
         x, _ = dk.laplacian_solve(lap, q, kappa)
         z = x.T
         inside = 0
+        value = 0.0
         for i in range(g.n):
             e = np.zeros(g.n)
             e[i] = 1.0
@@ -267,7 +271,11 @@ def test_sketch_solve_sandwich_on_quadratic_forms():
             c_hat = np.sum((z @ (e - pi)) ** 2)
             if (1 - eps) ** 2 * c_true <= c_hat <= (1 + eps) ** 2 * c_true:
                 inside += 1
+            value += pi[i] ** 2 * c_hat
         assert inside >= g.n - 3
+        # same seed, so approx_disagreement draws this sparsifier and sketch
+        assert dk.approx_disagreement(g, eps, seed=seed).value == pytest.approx(
+            g.d_sum * value, rel=1e-10)
 
 
 def test_solver_tolerance_formula():
@@ -280,19 +288,50 @@ def test_solver_tolerance_formula():
     assert solver_tolerance(lap, eps) == pytest.approx(expected, rel=1e-12)
 
 
-def test_approx_identity_hook_matches_dense_quadratic_forms():
-    g = random_connected_graph(30, 0.3, seed=4, weighted=True)
-    est = dk.approx_disagreement(g, 0.25, seed=2, sketch="identity")
-    lap = dk.sparsify_two_step(g, 0.25, seed=2)
-    pinv = np.linalg.pinv(lap.matrix.toarray(), hermitian=True)
+def test_approx_stderr_is_the_spread_of_the_sketch_rows():
+    eps, seed = 0.3, 5
+    g = random_connected_graph(40, 0.25, seed=17, weighted=True)
+    est = dk.approx_disagreement(g, eps, seed=seed)
+    lap = dk.sparsify_two_step(g, eps, seed=seed)
+    k = jl_dimension(g.n, eps)
+    x, _ = dk.laplacian_solve(lap, _sketched_rows(lap, k, seed),
+                              solver_tolerance(lap, eps))
     pi = g.stationary()
-    ref = 0.0
-    for i in range(g.n):
-        e = np.zeros(g.n)
-        e[i] = 1.0
-        ref += pi[i] ** 2 * ((e - pi) @ pinv @ (e - pi))
-    ref *= g.d_sum
-    assert est.value == pytest.approx(ref, abs=1e-8)
+    per_row = [k * g.d_sum * sum(pi[i] ** 2 * (row[i] - row @ pi) ** 2
+                                 for i in range(g.n)) for row in x.T]
+    assert np.mean(per_row) == pytest.approx(est.value, rel=1e-12)
+    assert est.diagnostics["stderr"] == pytest.approx(
+        np.std(per_row, ddof=1) / math.sqrt(k), rel=1e-10)
+
+
+def test_lambda_min_bound_lies_below_lambda_2_on_gsw_dense_input():
+    # an unconverged eigensolver estimate overshot lambda_2 on this input
+    g = dk.generate_gsw(768, 0.5, seed=621272063)
+    lap = dk.sparsify_two_step(g, 0.5, seed=520846937)
+    lambda_2 = np.linalg.eigvalsh(lap.matrix.toarray())[1]
+    assert 0.0 < lap.lambda_min_positive <= lambda_2
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 40), p=st.floats(0.15, 0.6),
+       graph_seed=st.integers(0, 10_000), weighted=st.booleans(),
+       seed=st.integers(0, 2 ** 32))
+def test_lambda_min_bound_lies_below_lambda_2(n, p, graph_seed, weighted,
+                                              seed):
+    g = random_connected_graph(n, p, graph_seed, weighted=weighted)
+    own = dk.SparsifiedLaplacian(g.n, g.edge_u, g.edge_v, g.edge_w,
+                                 sample_count=0, epsilon=0.5)
+    for lap in (own, dk.sparsify_two_step(g, 0.5, seed=seed)):
+        lambda_2 = np.linalg.eigvalsh(lap.matrix.toarray())[1]
+        assert 0.0 < lap.lambda_min_positive <= lambda_2
+
+
+def test_approx_on_gsw_leaks_no_warning():
+    g = dk.generate_gsw(768, 0.5, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = dk.approx_disagreement(g, 0.5, seed=11)
+    assert est.value > 0.0
 
 
 def test_approx_estimate_nonnegative_contributions():
