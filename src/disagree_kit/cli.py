@@ -20,7 +20,10 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import dynamics, generators, sampler, sparsify, spectral
+import numpy
+import scipy
+
+from . import __version__, dynamics, generators, sampler, sparsify, spectral
 from .errors import CostWarning, DisagreeKitError, UsageError
 from .graph import WeightedGraph, edge_list_text, load_edge_list
 from .rng import TAG_CELL, derive_seed
@@ -40,7 +43,8 @@ def graph_fingerprint(g: WeightedGraph) -> str:
 @dataclass
 class RunRecord:
     """One ``compute``/``kemeny`` run; ``extra`` is the estimator's own JSON,
-    whose keys give way to the record's."""
+    whose keys give way to the record's. ``versions`` names the package,
+    numpy and scipy versions that produced it."""
 
     command: str
     graph_fingerprint: str
@@ -63,6 +67,9 @@ class RunRecord:
             "wall_time_s": self.wall_time_s,
             "seed": self.seed,
             "timestamp": self.timestamp,
+            "versions": {"disagree_kit": __version__,
+                         "numpy": numpy.__version__,
+                         "scipy": scipy.__version__},
         }
 
 
@@ -159,6 +166,14 @@ def _sample_params(g: WeightedGraph, options: dict, eps: float, seed: int,
     return params
 
 
+def _sample_record_params(est, options: dict) -> dict:
+    """The sampler's ``params`` JSON, stating whether ``lambda_bound`` was
+    given or estimated by ``estimate_gap_bound`` (a Rayleigh quotient, not
+    a bound)."""
+    source = "given" if "lambda_bound" in options else "estimated"
+    return {**est.params, "lambda_bound_source": source}
+
+
 def _pick(options: dict, *keys: str) -> dict:
     return {k: options[k] for k in keys if k in options}
 
@@ -218,7 +233,12 @@ def _compute_record(g: WeightedGraph, method: str, options: dict,
     t0 = time.perf_counter()
     est = METHODS[method](g, options, eps, seed)
     wall = time.perf_counter() - t0
-    params = options if method == "exact" else est.params
+    if method == "exact":
+        params = options
+    elif method == "sample":
+        params = _sample_record_params(est, options)
+    else:
+        params = est.params
     return RunRecord(command, graph_fingerprint(g), method, params,
                      est.value, wall, seed, _now(), est.to_json())
 
@@ -308,11 +328,12 @@ def cmd_kemeny(args) -> int:
                            {"variant": "exact"}, value,
                            time.perf_counter() - t0, None, _now())
     else:
-        params = _sample_params(g, _method_options(args), args.epsilon,
-                                args.seed)
+        options = _method_options(args)
+        params = _sample_params(g, options, args.epsilon, args.seed)
         est = sampler.sample_kemeny_two_step(g, params)
         record = RunRecord(command, graph_fingerprint(g), "kemeny",
-                           {"variant": "sample", **est.params}, est.value,
+                           {"variant": "sample",
+                            **_sample_record_params(est, options)}, est.value,
                            time.perf_counter() - t0, est.seed, _now())
     _write_json(record.to_json())
     return 0

@@ -2,12 +2,21 @@
 
 Everything here works from the normalized adjacency matrix
 S = D^{-1/2} A D^{-1/2} and serves as the ground-truth oracle for the
-sampling estimators. ``decompose`` computes the eigenvalues of S only,
-which is all the Kemeny constant and the spectral checks need; exact
-disagreement reads diag(pinv(I - S^2)) from one Cholesky factorisation.
-The eigenvectors, which only the hitting-time functions and the
-bipartite pseudoinverse bypass read, are computed by a full ``eigh`` the
-first time a summary's ``eigenvectors`` is read.
+sampling estimators. ``decompose`` factors M = I - S^2 + psi psi^T
+(psi = sqrt(pi)) once by Cholesky and keeps d = diag(M^-1): exact
+disagreement is d - pi weighted by pi, and the two-step Kemeny constant
+is trace(M^-1) - 1 while that trace is at most ``_TRACE_GATE``. Its checks are certified without an eigensolve: a
+Collatz-Wielandt interval from one sparse mat-vec puts the leading
+eigenvalue at 1, and trace(M^-1) >= 1/(1 - lambda_k^2) for every k >= 2
+keeps the other eigenvalues away from +-1. A Collatz-Wielandt miss means
+the degrees disagree with the adjacency and raises ``DomainError``; a
+failed factorisation or a trace above ``_TRACE_GATE`` makes ``decompose``
+check the eigenvalues by ``eigvalsh`` as well. Bipartite input in the
+bypass mode is not factored at all. The eigenvalues are otherwise
+computed on the first read of a summary's ``eigenvalues`` or
+``gap_bound``, and the eigenvectors, which only the hitting-time
+functions and the bipartite pseudoinverse bypass read, by a full ``eigh``
+on the first read of ``eigenvectors``.
 """
 
 from __future__ import annotations
@@ -20,39 +29,68 @@ import scipy.sparse as sp
 
 from .errors import DomainError, NearBipartiteWarning, ResourceError
 from .graph import (DENSE_NODE_CAP, WeightedGraph, require_ergodic,
-                    two_step_graph)
+                    two_step_graph, validate)
 
 #: eigenvalues with lambda^2 beyond 1 - _UNIT_EIGEN_TOL are treated as
 #: members of the +-1 eigenspaces by the bipartite-bypass pseudoinverse.
 _UNIT_EIGEN_TOL = 1e-9
+#: ``decompose`` warns about an eigenvalue |lambda_k| > 1 - _NEAR_UNIT, k >= 2.
+_NEAR_UNIT = 1e-12
+#: trace(M^-1) >= 1/(1 - lambda_k^2), so a trace at most this puts every
+#: |lambda_k|, k >= 2, below sqrt(1 - 1e-8): far from the warning's
+#: 1 - _NEAR_UNIT, where 1/(1 - lambda^2) is about 5e11. Above it, or when
+#: the factorisation fails, ``decompose`` checks the eigenvalues for the
+#: warning as well, and ``exact_kemeny_two_step`` sums them.
+_TRACE_GATE = 1e8
 
 
 class SpectralSummary:
-    """Eigenvalues (descending) and orthonormal eigenvectors of S.
+    """Spectral data of S: eigenvalues (descending), orthonormal
+    eigenvectors, and, from ``decompose``, the diagonal of M^-1.
 
     ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``;
     ``gap_bound`` is max(|lambda_2|, |lambda_N|), the contraction factor
     of the two-step walk on the complement of the stationary direction.
 
-    A summary from ``decompose`` holds no eigenvectors: it is given the
-    graph instead, and the first read of ``eigenvectors`` runs a full
-    ``eigh`` of S and caches the result on the summary.
+    A summary from ``decompose`` is given the graph and computes the rest
+    on first read: ``eigenvalues`` (and ``gap_bound``) by ``eigvalsh`` of
+    S, ``eigenvectors`` by a full ``eigh``; each is cached on the summary.
+    It also holds d = diag(M^-1), M = I - S^2 + psi psi^T, when the
+    factorisation succeeded; ``exact_disagreement`` and
+    ``exact_kemeny_two_step`` read it in place of the eigenvalues.
     """
 
-    def __init__(self, eigenvalues: np.ndarray,
-                 eigenvectors: np.ndarray | None, gap_bound: float, *,
-                 graph: WeightedGraph | None = None) -> None:
-        if eigenvectors is None and graph is None:
-            raise DomainError("a spectral summary needs its eigenvectors "
-                              "or the graph to compute them from")
-        self.eigenvalues = eigenvalues
-        self.gap_bound = gap_bound
+    def __init__(self, eigenvalues: np.ndarray | None,
+                 eigenvectors: np.ndarray | None, gap_bound: float | None,
+                 *, graph: WeightedGraph | None = None,
+                 m_inv_diag: np.ndarray | None = None) -> None:
+        if graph is None and (eigenvalues is None or eigenvectors is None):
+            raise DomainError("a spectral summary needs its eigenvalues and "
+                              "eigenvectors or the graph to compute them from")
+        self._eigenvalues = eigenvalues
+        self._gap_bound = gap_bound
         self._eigenvectors = eigenvectors
         self._graph = graph
+        self._m_inv_diag = m_inv_diag
 
     @property
     def n(self) -> int:
-        return len(self.eigenvalues)
+        if self._eigenvalues is None:
+            return self._graph.n
+        return len(self._eigenvalues)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        if self._eigenvalues is None:
+            self._eigenvalues = _eigenvalues(self._graph)
+        return self._eigenvalues
+
+    @property
+    def gap_bound(self) -> float:
+        if self._gap_bound is None:
+            vals = self.eigenvalues
+            self._gap_bound = float(max(abs(vals[1]), abs(vals[-1])))
+        return self._gap_bound
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -75,34 +113,68 @@ def normalized_adjacency_dense(g: WeightedGraph) -> np.ndarray:
     return g.adjacency_dense() * np.outer(inv_sqrt_d, inv_sqrt_d)
 
 
+def _eigenvalues(g: WeightedGraph) -> np.ndarray:
+    """Eigenvalues of S, descending, from a dense ``eigvalsh``."""
+    return np.linalg.eigvalsh(normalized_adjacency_dense(g))[::-1]
+
+
 def decompose(g: WeightedGraph, *, allow_bipartite: bool = False,
               cap: int = DENSE_NODE_CAP,
               lambda1_tol: float = 1e-8) -> SpectralSummary:
-    """Eigenvalues of the normalized adjacency matrix, descending.
-
-    The summary computes the eigenvectors on their first read.
+    """Check the spectrum of S and factor M = I - S^2 + psi psi^T once.
 
     Bipartite inputs are rejected (their spectrum contains -1, which
     makes 1/(1 - lambda^2) singular) unless ``allow_bipartite`` is set
     for the pseudoinverse-bypass mode.
+
+    The leading eigenvalue must lie within ``lambda1_tol`` of 1. With
+    psi = sqrt(pi) > 0 and S nonnegative and irreducible, it lies in
+    [min_i (S psi)_i/psi_i, max_i (S psi)_i/psi_i] (Collatz-Wielandt), and
+    each ratio is the i-th adjacency row sum over the i-th degree. An
+    interval that leaves the tolerance therefore means the degrees do not
+    match the adjacency, and raises ``DomainError``.
+
+    M has the eigenvalues 1 and 1 - lambda_k^2, k >= 2. Unless the graph
+    is bipartite (bypass mode), M is factored once by Cholesky and the
+    summary keeps d = diag(M^-1). Any eigenvalue beyond 1 - 1e-12 in
+    magnitude other than the leading one raises a ``NearBipartiteWarning``
+    (unless ``allow_bipartite``); trace(M^-1) at most ``_TRACE_GATE`` rules
+    that out, and only when the factorisation fails or the trace is above
+    the gate are the eigenvalues computed and checked. Otherwise they are
+    computed on their first read, the eigenvectors on theirs.
     """
     if g.n > cap:
         raise ResourceError(f"dense eigendecomposition capped at {cap} nodes")
     if g.n == 1:
         return SpectralSummary(np.ones(1), np.ones((1, 1)), 0.0)
     require_ergodic(g, "decompose", allow_bipartite=allow_bipartite)
-    vals = np.linalg.eigvalsh(normalized_adjacency_dense(g))[::-1]
-    if abs(vals[0] - 1.0) > lambda1_tol:
+    psi = np.sqrt(g.stationary())
+    ratios = (normalized_adjacency(g) @ psi) / psi
+    low, high = float(ratios.min()), float(ratios.max())
+    if max(abs(low - 1.0), abs(high - 1.0)) > lambda1_tol:
         raise DomainError(
-            f"leading eigenvalue {vals[0]!r} deviates from 1 beyond "
-            f"{lambda1_tol}; the graph data is inconsistent")
-    if not allow_bipartite and np.max(np.abs(vals[1:])) > 1.0 - 1e-12:
-        worst = vals[1:][np.argmax(np.abs(vals[1:]))]
-        warnings.warn(
-            f"near-bipartite spectrum: eigenvalue {worst!r} makes "
-            "1/(1-lambda^2) blow up", NearBipartiteWarning, stacklevel=2)
-    gap = float(max(abs(vals[1]), abs(vals[-1])))
-    return SpectralSummary(vals, None, gap, graph=g)
+            f"the leading eigenvalue's Collatz-Wielandt interval "
+            f"[{low!r}, {high!r}] is not within {lambda1_tol} of 1: the "
+            "degrees do not match the adjacency row sums; the graph data "
+            "is inconsistent")
+    if validate(g).bipartite:
+        # M is singular: the bypass reads the eigenpairs instead
+        return SpectralSummary(None, None, None, graph=g)
+    try:
+        m_inv_diag = _m_inverse_diagonal(g)
+    except DomainError:
+        m_inv_diag = None
+    vals = None
+    certified = m_inv_diag is not None and m_inv_diag.sum() <= _TRACE_GATE
+    if not certified and not allow_bipartite:
+        vals = _eigenvalues(g)
+        rest = np.abs(vals[1:])
+        if rest.max() > 1.0 - _NEAR_UNIT:
+            warnings.warn(
+                f"near-bipartite spectrum: eigenvalue "
+                f"{vals[1:][rest.argmax()]!r} makes 1/(1-lambda^2) blow up",
+                NearBipartiteWarning, stacklevel=2)
+    return SpectralSummary(vals, None, None, graph=g, m_inv_diag=m_inv_diag)
 
 
 @dataclass(frozen=True)
@@ -163,22 +235,22 @@ def two_step_pinv_diagonal(s: SpectralSummary, *,
     return (psi * psi) @ (1.0 / denom)
 
 
-def _two_step_pinv_diagonal_cholesky(g: WeightedGraph) -> np.ndarray:
-    """Diagonal of pinv(I - S^2) from one Cholesky factorisation.
+def _m_inverse_diagonal(g: WeightedGraph) -> np.ndarray:
+    """Diagonal of M^-1, M = I - S^2 + psi psi^T, from one Cholesky
+    factorisation.
 
     On a connected non-bipartite graph psi = sqrt(pi) spans the kernel
-    of I - S^2, so M = I - S^2 + psi psi^T is positive definite and
-    M^-1 = pinv(I - S^2) + psi psi^T. With M = L L^T the diagonal of
-    M^-1 is the squared column norms of L^-1, and pi = psi^2 is
-    subtracted from it. A failed factorisation raises ``DomainError``.
+    of I - S^2, so M is positive definite and
+    M^-1 = pinv(I - S^2) + psi psi^T: the pseudoinverse diagonal is
+    diag(M^-1) - pi. With M = L L^T the diagonal of M^-1 is the squared
+    column norms of L^-1. A failed factorisation raises ``DomainError``.
     """
     # imported here: scipy.linalg adds ~0.1 s and ~8 MB to every CLI run
     from scipy.linalg.lapack import dpotrf, dtrtri
-    pi = g.stationary()
     s_mat = normalized_adjacency(g)
     m_mat = -(s_mat @ s_mat).toarray()
     m_mat[np.diag_indices(g.n)] += 1.0
-    psi = np.sqrt(pi)
+    psi = np.sqrt(g.stationary())
     m_mat += np.outer(psi, psi)
     # M is symmetric: its transpose is M in the Fortran order that LAPACK
     # factors in place, without a copy
@@ -192,7 +264,7 @@ def _two_step_pinv_diagonal_cholesky(g: WeightedGraph) -> np.ndarray:
     if info != 0:
         raise DomainError(f"inverting the Cholesky factor failed "
                           f"(LAPACK dtrtri info={info})")
-    return np.einsum("ij,ij->j", inv_chol, inv_chol) - pi
+    return np.einsum("ij,ij->j", inv_chol, inv_chol)
 
 
 def exact_disagreement(g: WeightedGraph,
@@ -201,10 +273,12 @@ def exact_disagreement(g: WeightedGraph,
                        ) -> DisagreementExact:
     """Disagreement delta = sum_i pi_i * sum_{k>=2} psi_ki^2/(1-lambda_k^2).
 
-    The pseudoinverse diagonal comes from one Cholesky factorisation
-    (``_two_step_pinv_diagonal_cholesky``); only the bipartite bypass,
-    where that factorisation does not exist, reads the eigenvectors of
-    ``s``. Without ``s``, ``decompose`` runs first for its checks.
+    The pseudoinverse diagonal is diag(M^-1) - pi from one Cholesky
+    factorisation (``_m_inverse_diagonal``): the one ``s`` holds when it
+    was decomposed from ``g`` itself, or else a new one. Only the
+    bipartite bypass, where that factorisation does not exist, reads the
+    eigenvectors of ``s``. Without ``s``, ``decompose`` runs first for
+    its checks.
     """
     if s is None:
         s = decompose(g, allow_bipartite=allow_bipartite_pseudoinverse)
@@ -217,7 +291,10 @@ def exact_disagreement(g: WeightedGraph,
     if allow_bipartite_pseudoinverse:
         ldag = two_step_pinv_diagonal(s, allow_bipartite_pseudoinverse=True)
     else:
-        ldag = _two_step_pinv_diagonal_cholesky(g)
+        m_inv_diag = s._m_inv_diag if s._graph is g else None
+        if m_inv_diag is None:
+            m_inv_diag = _m_inverse_diagonal(g)
+        ldag = m_inv_diag - pi
     contrib = pi * ldag
     return DisagreementExact(float(contrib.sum()), pi, ldag, contrib)
 
@@ -272,9 +349,21 @@ def partial_mean_hitting_time(g: WeightedGraph, target: int,
 
 
 def exact_kemeny_two_step(s: SpectralSummary) -> float:
-    """Kemeny constant of the two-step walk: sum_{k>=2} 1/(1-lambda_k^2)."""
+    """Kemeny constant of the two-step walk: sum_{k>=2} 1/(1-lambda_k^2).
+
+    That sum is trace(M^-1) - 1, read from the diagonal of M^-1 that a
+    summary from ``decompose`` holds while the trace is at most
+    ``_TRACE_GATE``. Above it M is too ill-conditioned for its inverse
+    (on two triangles bridged by weight 1e-14 the trace is 3.9% below the
+    true 1.5e14, the eigenvalue sum 0.08% above it), so there, and for a
+    summary without d (explicit eigenpairs, bipartite input, a failed
+    factorisation), the eigenvalues are summed.
+    """
     if s.n == 1:
         return 0.0
+    m_inv_diag = s._m_inv_diag
+    if m_inv_diag is not None and m_inv_diag.sum() <= _TRACE_GATE:
+        return float(m_inv_diag.sum() - 1.0)
     lam = s.eigenvalues[1:]
     return float(np.sum(1.0 / (1.0 - lam * lam)))
 

@@ -3,7 +3,9 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy
 import pytest
+import scipy
 
 import disagree_kit as dk
 from disagree_kit import cli
@@ -377,3 +379,32 @@ def test_walk_budget_quadruples_when_epsilon_halves():
     free = dk.derive_params(10_000, 0.3, 0.6)
     free_half = dk.derive_params(10_000, 0.15, 0.6)
     assert free_half.walks_per_length / free.walks_per_length >= 4.0
+
+
+@pytest.mark.parametrize("command", ["compute", "kemeny"])
+@pytest.mark.parametrize("flag, source", [
+    (["--lambda-bound", "0.5"], "given"),
+    (["--estimate-gap"], "estimated"),
+])
+def test_sample_params_state_the_lambda_bound_source(tri_path, command,
+                                                     flag, source):
+    method = ["sample"] if command == "compute" else ["--method", "sample"]
+    code, stdout, err = run_cli([
+        command, str(tri_path), *method, "--ell", "4", "--walks", "200",
+        *flag])
+    assert code == 0, err
+    params = json.loads(stdout)["params"]
+    assert params["lambda_bound_source"] == source
+    if source == "given":
+        assert params["lambda_bound"] == 0.5
+
+
+def test_run_records_state_their_versions(tri_path):
+    expected = {"disagree_kit": dk.__version__, "numpy": numpy.__version__,
+                "scipy": scipy.__version__}
+    for argv in (["compute", str(tri_path), "exact"],
+                 ["kemeny", str(tri_path), "--method", "exact"],
+                 ["kemeny", "--method", "closed-form", "--psfw-g", "3"]):
+        code, stdout, err = run_cli(argv)
+        assert code == 0, err
+        assert json.loads(stdout)["versions"] == expected

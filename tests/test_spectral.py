@@ -271,3 +271,136 @@ def test_failed_cholesky_raises_domain_error(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing_dpotrf)
     with pytest.raises(dk.DomainError, match="not positive definite"):
         dk.exact_disagreement(triangle())
+
+
+def _eigvalsh_kemeny(g):
+    """sum_{k>=2} 1/(1 - lambda_k^2) over the ``eigvalsh`` spectrum of S,
+    the oracle of the trace route."""
+    lam = np.linalg.eigvalsh(dk.spectral.normalized_adjacency_dense(g))[:-1]
+    return float(np.sum(1.0 / (1.0 - lam * lam)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 60), chords=st.integers(0, 300),
+       seed=st.integers(0, 2 ** 32 - 1), weighted=st.booleans())
+def test_trace_kemeny_matches_the_eigenvalue_sum(n, chords, seed, weighted):
+    g = _tree_with_a_triangle(n, chords, seed, weighted)
+    assert dk.exact_kemeny_two_step(dk.decompose(g)) == pytest.approx(
+        _eigvalsh_kemeny(g), rel=1e-10)
+
+
+def test_trace_kemeny_matches_the_eigenvalue_sum_on_gsw_1024():
+    g = dk.generate_gsw(1024, 0.5, seed=11)
+    assert dk.exact_kemeny_two_step(dk.decompose(g)) == pytest.approx(
+        _eigvalsh_kemeny(g), rel=1e-10)
+
+
+def _count_eigensolves(monkeypatch):
+    """Patch ``eigvalsh`` and ``eigh`` to log their names into a list."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        def counting(*args, _name=name, _real=getattr(np.linalg, name),
+                     **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("first_read", ["eigenvalues", "gap_bound"])
+def test_exact_paths_run_no_eigensolve_and_eigenvalues_are_lazy(
+        monkeypatch, first_read):
+    g = random_connected_graph(30, 0.3, seed=4, weighted=True)
+    expected = np.linalg.eigvalsh(
+        dk.spectral.normalized_adjacency_dense(g))[::-1]
+    calls = _count_eigensolves(monkeypatch)
+    s = dk.decompose(g)
+    dk.exact_disagreement(g, s)
+    dk.exact_disagreement(g)
+    dk.exact_kemeny_two_step(s)
+    assert calls == []
+    getattr(s, first_read)
+    assert calls == ["eigvalsh"]
+    assert np.array_equal(s.eigenvalues, expected)
+    assert s.gap_bound == max(abs(expected[1]), abs(expected[-1]))
+    assert calls == ["eigvalsh"]
+
+
+def test_summary_of_another_graph_does_not_change_delta():
+    g = random_connected_graph(30, 0.3, seed=4, weighted=True)
+    other = random_connected_graph(30, 0.3, seed=5, weighted=True)
+    own = dk.exact_disagreement(g).delta
+    assert dk.exact_disagreement(g, dk.decompose(other)).delta == own
+    assert dk.exact_disagreement(other).delta != own
+
+
+def _count_factorisations(monkeypatch):
+    """Patch LAPACK's ``dpotrf`` to log each call into a list."""
+    calls = []
+    real = scipy.linalg.lapack.dpotrf
+
+    def counting(*args, **kwargs):
+        calls.append("dpotrf")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting)
+    return calls
+
+
+def test_bipartite_summary_eigenvalues_match_eigvalsh(monkeypatch):
+    g = path_graph(5)
+    factorisations = _count_factorisations(monkeypatch)
+    s = dk.decompose(g, allow_bipartite=True)
+    assert factorisations == []
+    expected = np.linalg.eigvalsh(
+        dk.spectral.normalized_adjacency_dense(g))[::-1]
+    assert np.array_equal(s.eigenvalues, expected)
+    assert s.gap_bound == pytest.approx(1.0, abs=1e-12)
+
+
+def _with_one_degree_scaled(g, factor):
+    """``g`` with node 0's degree off its adjacency row sum by ``factor``:
+    inconsistent graph data, whose S has a leading eigenvalue below 1."""
+    degrees = g.degrees.copy()
+    degrees[0] *= factor
+    g.degrees = degrees
+    g.d_sum = float(degrees.sum())
+    return g
+
+
+def test_collatz_wielandt_miss_raises_without_an_eigensolve(monkeypatch):
+    g = _with_one_degree_scaled(random_connected_graph(30, 0.3, seed=4),
+                                1.0 + 1e-4)
+    psi = np.sqrt(g.stationary())
+    ratios = (dk.spectral.normalized_adjacency(g) @ psi) / psi
+    # the interval brackets the leading eigenvalue
+    lead = np.linalg.eigvalsh(dk.spectral.normalized_adjacency_dense(g))[-1]
+    assert ratios.min() <= lead <= ratios.max()
+    calls = _count_eigensolves(monkeypatch)
+    with pytest.raises(dk.DomainError, match="leading eigenvalue"):
+        dk.decompose(g)
+    # a tolerance the interval meets lets the same graph through
+    width = float(np.max(np.abs(ratios - 1.0)))
+    dk.decompose(g, lambda1_tol=2.0 * width)
+    assert calls == []
+
+
+def test_high_trace_factor_is_kept_and_read_once(monkeypatch):
+    # the bridged triangles of the near-unit warning test: the
+    # factorisation succeeds with a trace far above the gate
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
+             (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0), (2, 3, 1e-14)]
+    g = dk.WeightedGraph.from_edges(6, edges)
+    factorisations = _count_factorisations(monkeypatch)
+    calls = _count_eigensolves(monkeypatch)
+    with pytest.warns(dk.errors.NearBipartiteWarning):
+        s = dk.decompose(g)
+    assert s._m_inv_diag.sum() > dk.spectral._TRACE_GATE
+    dk.exact_disagreement(g, s)
+    kemeny = dk.exact_kemeny_two_step(s)
+    assert factorisations == ["dpotrf"]
+    # Kemeny sums the eigenvalues the warning check computed; the
+    # ill-conditioned trace is 3.9% off the true value 1.5e14
+    # (60-digit mpmath eigenvalues)
+    assert calls == ["eigvalsh"]
+    assert kemeny == pytest.approx(1.5e14, rel=1e-2)
