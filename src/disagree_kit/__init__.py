@@ -11,9 +11,9 @@ from .errors import (ConvergenceError, DisagreeKitError, DomainError,
 from .generators import (GeneratorSpec, generate, generate_apollonian,
                          generate_ba, generate_gsw, generate_psfw,
                          psfw_kemeny_closed_form, psfw_spectrum)
-from .graph import (WeightedGraph, dump_edge_list, edge_list_text,
-                    load_bundled, load_edge_list, restrict_to_lcc,
-                    two_step_graph, validate)
+from .graph import (WeightedGraph, edge_list_text, load_bundled,
+                    load_edge_list, restrict_to_lcc, two_step_graph,
+                    validate)
 from .results import DisagreementEstimate
 from .sampler import (SampleParams, derive_params, estimate_gap_bound,
                       estimate_return_probabilities, sample_disagreement,
@@ -32,8 +32,8 @@ __all__ = [
     "DisagreementExact", "DomainError", "DuplicateEdgeError", "GeneratorSpec",
     "MCConfig", "ParseError", "ResourceError", "SampleParams",
     "SparsifiedLaplacian", "SpectralSummary", "UsageError", "WeightedGraph",
-    "approx_disagreement", "decompose", "derive_params", "dump_edge_list",
-    "edge_list_text", "estimate_gap_bound", "estimate_return_probabilities",
+    "approx_disagreement", "decompose", "derive_params", "edge_list_text",
+    "estimate_gap_bound", "estimate_return_probabilities",
     "exact_disagreement", "exact_hitting_time_two_step",
     "exact_kemeny_two_step", "generate", "generate_apollonian", "generate_ba",
     "generate_gsw", "generate_psfw", "laplacian_solve", "load_bundled",

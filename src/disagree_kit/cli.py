@@ -462,35 +462,27 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+COMMANDS = {"gen": cmd_gen, "compute": cmd_compute, "kemeny": cmd_kemeny,
+            "sweep": cmd_sweep}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # catch_warnings restores showwarning and the filters on exit
         with warnings.catch_warnings():
             warnings.simplefilter("always")
-            showwarning = warnings.showwarning
 
             def to_stderr(message, category, filename, lineno, file=None,
                           line=None):
                 print(f"warning: {message}", file=sys.stderr)
 
             warnings.showwarning = to_stderr
-            try:
-                if args.command == "gen":
-                    return cmd_gen(args)
-                if args.command == "compute":
-                    return cmd_compute(args)
-                if args.command == "kemeny":
-                    return cmd_kemeny(args)
-                if args.command == "sweep":
-                    return cmd_sweep(args)
-                raise UsageError(f"unknown command {args.command!r}")
-            finally:
-                warnings.showwarning = showwarning
+            return COMMANDS[args.command](args)
     except DisagreeKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -135,7 +135,7 @@ def psfw_node_count(g: int) -> int:
     return (3 ** (g + 1) + 3) // 2
 
 
-def generate_psfw(g: int, *, max_nodes: int = PSFW_NODE_CAP) -> WeightedGraph:
+def generate_psfw(g: int) -> WeightedGraph:
     """Pseudofractal scale-free web after g iterations (deterministic).
 
     Iteration takes every existing edge and attaches a fresh node to
@@ -145,9 +145,9 @@ def generate_psfw(g: int, *, max_nodes: int = PSFW_NODE_CAP) -> WeightedGraph:
     if g < 0:
         raise DomainError(f"iteration count must be >= 0, got {g}")
     n = psfw_node_count(g)
-    if n > max_nodes:
+    if n > PSFW_NODE_CAP:
         raise ResourceError(f"pseudofractal web with g={g} has {n} nodes, "
-                            f"beyond the cap of {max_nodes}")
+                            f"beyond the cap of {PSFW_NODE_CAP}")
     u = np.array([0, 0, 1], dtype=np.int64)
     v = np.array([1, 2, 2], dtype=np.int64)
     size = 3

@@ -347,15 +347,6 @@ def edge_list_text(g: WeightedGraph) -> str:
     return "".join(out)
 
 
-def dump_edge_list(g: WeightedGraph, target) -> None:
-    text = edge_list_text(g)
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        target.write(text)
-
-
 # -- two-step graph ----------------------------------------------------
 
 def two_step_graph(g: WeightedGraph, *,

@@ -25,6 +25,8 @@ from .walks import NeighborSampler
 
 #: derived truncation lengths above this trigger a cost warning.
 ELL_COST_WARNING = 2_000
+#: ``estimate_gap_bound`` multiplies its power-iteration estimate by this.
+GAP_INFLATE = 1.05
 
 
 @dataclass(frozen=True)
@@ -195,14 +197,14 @@ def sample_kemeny_two_step(g: WeightedGraph,
         diagnostics={"stderr": _scale_up_stderr(g.n, sums)})
 
 
-def estimate_gap_bound(g: WeightedGraph, *, iters: int = 200, seed: int = 0,
-                       inflate: float = 1.05) -> float:
+def estimate_gap_bound(g: WeightedGraph, *, iters: int = 200,
+                       seed: int = 0) -> float:
     """Power-iteration estimate of max(|lambda_2|, |lambda_N|), inflated.
 
     Runs on S^2 with the top eigenvector deflated analytically and
     returns sqrt(||S^2 v||) for the last unit iterate v, a Rayleigh-type
     quotient that approaches the true value from below, times
-    ``inflate`` and capped at 1 - 1e-9. It is an estimate, not a
+    ``GAP_INFLATE`` and capped at 1 - 1e-9. It is an estimate, not a
     certified bound: before the iteration converges, the inflated value
     can still lie below the true one.
     """
@@ -224,4 +226,4 @@ def estimate_gap_bound(g: WeightedGraph, *, iters: int = 200, seed: int = 0,
         v = w / norm
         lam_sq = norm
     lam = math.sqrt(max(lam_sq, 0.0))
-    return min(1.0 - 1e-9, lam * inflate)
+    return min(1.0 - 1e-9, lam * GAP_INFLATE)

@@ -2,21 +2,19 @@
 
 Everything here works from the normalized adjacency matrix
 S = D^{-1/2} A D^{-1/2} and serves as the ground-truth oracle for the
-sampling estimators. ``decompose`` factors M = I - S^2 + psi psi^T
-(psi = sqrt(pi)) once by Cholesky and keeps d = diag(M^-1): exact
-disagreement is d - pi weighted by pi, and the two-step Kemeny constant
-is trace(M^-1) - 1 while that trace is at most ``_TRACE_GATE``. Its checks are certified without an eigensolve: a
-Collatz-Wielandt interval from one sparse mat-vec puts the leading
-eigenvalue at 1, and trace(M^-1) >= 1/(1 - lambda_k^2) for every k >= 2
-keeps the other eigenvalues away from +-1. A Collatz-Wielandt miss means
-the degrees disagree with the adjacency and raises ``DomainError``; a
-failed factorisation or a trace above ``_TRACE_GATE`` makes ``decompose``
-check the eigenvalues by ``eigvalsh`` as well. Bipartite input in the
-bypass mode is not factored at all. The eigenvalues are otherwise
+sampling estimators. ``decompose`` is the one place that checks or
+factors: a Collatz-Wielandt interval from one sparse mat-vec puts the
+leading eigenvalue at 1, and M = I - S^2 + psi psi^T (psi = sqrt(pi)) is
+factored once by Cholesky. While trace(M^-1) is at most ``_TRACE_GATE``
+the summary keeps d = diag(M^-1): exact disagreement is d - pi weighted
+by pi, the two-step Kemeny constant is trace(M^-1) - 1, and since
+trace(M^-1) >= 1/(1 - lambda_k^2) for every k >= 2 no eigensolve is
+needed. Above the gate the summary keeps the ``eigvalsh`` eigenvalues
+that ``decompose`` checks for a ``NearBipartiteWarning``, and both exact
+functions take the eigenpair route. Otherwise the eigenvalues are
 computed on the first read of a summary's ``eigenvalues`` or
-``gap_bound``, and the eigenvectors, which only the hitting-time
-functions and the bipartite pseudoinverse bypass read, by a full ``eigh``
-on the first read of ``eigenvectors``.
+``gap_bound``, and the eigenvectors by a full ``eigh`` on the first read
+of ``eigenvectors``.
 """
 
 from __future__ import annotations
@@ -38,10 +36,12 @@ _UNIT_EIGEN_TOL = 1e-9
 _NEAR_UNIT = 1e-12
 #: trace(M^-1) >= 1/(1 - lambda_k^2), so a trace at most this puts every
 #: |lambda_k|, k >= 2, below sqrt(1 - 1e-8): far from the warning's
-#: 1 - _NEAR_UNIT, where 1/(1 - lambda^2) is about 5e11. Above it, or when
-#: the factorisation fails, ``decompose`` checks the eigenvalues for the
-#: warning as well, and ``exact_kemeny_two_step`` sums them.
+#: 1 - _NEAR_UNIT, where 1/(1 - lambda^2) is about 5e11. Above it
+#: ``decompose`` drops d, checks the eigenvalues for the warning and keeps
+#: them for the eigenpair route.
 _TRACE_GATE = 1e8
+#: ``decompose`` requires the leading eigenvalue within this of 1.
+_LAMBDA1_TOL = 1e-8
 
 
 class SpectralSummary:
@@ -55,15 +55,18 @@ class SpectralSummary:
     A summary from ``decompose`` is given the graph and computes the rest
     on first read: ``eigenvalues`` (and ``gap_bound``) by ``eigvalsh`` of
     S, ``eigenvectors`` by a full ``eigh``; each is cached on the summary.
-    It also holds d = diag(M^-1), M = I - S^2 + psi psi^T, when the
-    factorisation succeeded; ``exact_disagreement`` and
-    ``exact_kemeny_two_step`` read it in place of the eigenvalues.
+    It also holds d = diag(M^-1), M = I - S^2 + psi psi^T, when
+    ``decompose`` certified it (trace at most ``_TRACE_GATE``);
+    ``exact_disagreement`` and ``exact_kemeny_two_step`` read it in place
+    of the eigenpairs. ``allow_bipartite`` records the mode it was
+    checked in.
     """
 
     def __init__(self, eigenvalues: np.ndarray | None,
                  eigenvectors: np.ndarray | None, gap_bound: float | None,
                  *, graph: WeightedGraph | None = None,
-                 m_inv_diag: np.ndarray | None = None) -> None:
+                 m_inv_diag: np.ndarray | None = None,
+                 allow_bipartite: bool = False) -> None:
         if graph is None and (eigenvalues is None or eigenvectors is None):
             raise DomainError("a spectral summary needs its eigenvalues and "
                               "eigenvectors or the graph to compute them from")
@@ -72,6 +75,7 @@ class SpectralSummary:
         self._eigenvectors = eigenvectors
         self._graph = graph
         self._m_inv_diag = m_inv_diag
+        self._allow_bipartite = allow_bipartite
 
     @property
     def n(self) -> int:
@@ -118,55 +122,58 @@ def _eigenvalues(g: WeightedGraph) -> np.ndarray:
     return np.linalg.eigvalsh(normalized_adjacency_dense(g))[::-1]
 
 
-def decompose(g: WeightedGraph, *, allow_bipartite: bool = False,
-              cap: int = DENSE_NODE_CAP,
-              lambda1_tol: float = 1e-8) -> SpectralSummary:
+def decompose(g: WeightedGraph, *,
+              allow_bipartite: bool = False) -> SpectralSummary:
     """Check the spectrum of S and factor M = I - S^2 + psi psi^T once.
 
+    Graphs above ``DENSE_NODE_CAP`` nodes raise ``ResourceError``.
     Bipartite inputs are rejected (their spectrum contains -1, which
     makes 1/(1 - lambda^2) singular) unless ``allow_bipartite`` is set
-    for the pseudoinverse-bypass mode.
+    for the pseudoinverse-bypass mode; they are then not factored.
 
-    The leading eigenvalue must lie within ``lambda1_tol`` of 1. With
+    The leading eigenvalue must lie within ``_LAMBDA1_TOL`` of 1. With
     psi = sqrt(pi) > 0 and S nonnegative and irreducible, it lies in
     [min_i (S psi)_i/psi_i, max_i (S psi)_i/psi_i] (Collatz-Wielandt), and
     each ratio is the i-th adjacency row sum over the i-th degree. An
     interval that leaves the tolerance therefore means the degrees do not
     match the adjacency, and raises ``DomainError``.
 
-    M has the eigenvalues 1 and 1 - lambda_k^2, k >= 2. Unless the graph
-    is bipartite (bypass mode), M is factored once by Cholesky and the
-    summary keeps d = diag(M^-1). Any eigenvalue beyond 1 - 1e-12 in
-    magnitude other than the leading one raises a ``NearBipartiteWarning``
-    (unless ``allow_bipartite``); trace(M^-1) at most ``_TRACE_GATE`` rules
-    that out, and only when the factorisation fails or the trace is above
-    the gate are the eigenvalues computed and checked. Otherwise they are
-    computed on their first read, the eigenvectors on theirs.
+    M has the eigenvalues 1 and 1 - lambda_k^2, k >= 2. It is factored
+    once by Cholesky; a failed factorisation raises ``DomainError``
+    unless ``allow_bipartite`` is set. The summary keeps d = diag(M^-1)
+    when trace(d) is at most ``_TRACE_GATE``, which also rules out any
+    eigenvalue beyond 1 - 1e-12 in magnitude other than the leading one.
+    Above the gate d is dropped; unless ``allow_bipartite`` is set, the
+    eigenvalues are then computed and kept, and any such eigenvalue
+    raises a ``NearBipartiteWarning``. Otherwise they are computed on
+    their first read, the eigenvectors on theirs.
     """
-    if g.n > cap:
-        raise ResourceError(f"dense eigendecomposition capped at {cap} nodes")
+    if g.n > DENSE_NODE_CAP:
+        raise ResourceError(
+            f"dense eigendecomposition capped at {DENSE_NODE_CAP} nodes")
     if g.n == 1:
         return SpectralSummary(np.ones(1), np.ones((1, 1)), 0.0)
     require_ergodic(g, "decompose", allow_bipartite=allow_bipartite)
     psi = np.sqrt(g.stationary())
     ratios = (normalized_adjacency(g) @ psi) / psi
     low, high = float(ratios.min()), float(ratios.max())
-    if max(abs(low - 1.0), abs(high - 1.0)) > lambda1_tol:
+    if max(abs(low - 1.0), abs(high - 1.0)) > _LAMBDA1_TOL:
         raise DomainError(
             f"the leading eigenvalue's Collatz-Wielandt interval "
-            f"[{low!r}, {high!r}] is not within {lambda1_tol} of 1: the "
+            f"[{low!r}, {high!r}] is not within {_LAMBDA1_TOL} of 1: the "
             "degrees do not match the adjacency row sums; the graph data "
             "is inconsistent")
-    if validate(g).bipartite:
-        # M is singular: the bypass reads the eigenpairs instead
-        return SpectralSummary(None, None, None, graph=g)
-    try:
-        m_inv_diag = _m_inverse_diagonal(g)
-    except DomainError:
+    m_inv_diag = vals = None
+    if not validate(g).bipartite:
+        # bipartite M is singular: the bypass reads the eigenpairs instead
+        try:
+            m_inv_diag = _m_inverse_diagonal(g)
+        except DomainError:
+            if not allow_bipartite:
+                raise
+    if m_inv_diag is not None and m_inv_diag.sum() > _TRACE_GATE:
         m_inv_diag = None
-    vals = None
-    certified = m_inv_diag is not None and m_inv_diag.sum() <= _TRACE_GATE
-    if not certified and not allow_bipartite:
+    if m_inv_diag is None and not allow_bipartite:
         vals = _eigenvalues(g)
         rest = np.abs(vals[1:])
         if rest.max() > 1.0 - _NEAR_UNIT:
@@ -174,7 +181,8 @@ def decompose(g: WeightedGraph, *, allow_bipartite: bool = False,
                 f"near-bipartite spectrum: eigenvalue "
                 f"{vals[1:][rest.argmax()]!r} makes 1/(1-lambda^2) blow up",
                 NearBipartiteWarning, stacklevel=2)
-    return SpectralSummary(vals, None, None, graph=g, m_inv_diag=m_inv_diag)
+    return SpectralSummary(vals, None, None, graph=g, m_inv_diag=m_inv_diag,
+                           allow_bipartite=allow_bipartite)
 
 
 @dataclass(frozen=True)
@@ -273,28 +281,24 @@ def exact_disagreement(g: WeightedGraph,
                        ) -> DisagreementExact:
     """Disagreement delta = sum_i pi_i * sum_{k>=2} psi_ki^2/(1-lambda_k^2).
 
-    The pseudoinverse diagonal is diag(M^-1) - pi from one Cholesky
-    factorisation (``_m_inverse_diagonal``): the one ``s`` holds when it
-    was decomposed from ``g`` itself, or else a new one. Only the
-    bipartite bypass, where that factorisation does not exist, reads the
-    eigenvectors of ``s``. Without ``s``, ``decompose`` runs first for
-    its checks.
+    ``s`` is used only when ``decompose`` built it from ``g`` itself, and
+    in the default mode unless this call asks for the bypass too; any
+    other summary (or none) is replaced by ``decompose(g)``. The pseudoinverse
+    diagonal is then diag(M^-1) - pi when the summary holds d = diag(M^-1),
+    and otherwise (the bipartite bypass, or a trace above ``_TRACE_GATE``)
+    comes from the eigenpairs of the summary.
     """
-    if s is None:
-        s = decompose(g, allow_bipartite=allow_bipartite_pseudoinverse)
-    if s.n != g.n:
-        raise DomainError("spectral summary does not belong to this graph")
     if g.n == 1:
-        pi = np.ones(1)
-        return DisagreementExact(0.0, pi, np.zeros(1), np.zeros(1))
+        return DisagreementExact(0.0, np.ones(1), np.zeros(1), np.zeros(1))
+    if (s is None or s._graph is not g
+            or (s._allow_bipartite and not allow_bipartite_pseudoinverse)):
+        s = decompose(g, allow_bipartite=allow_bipartite_pseudoinverse)
     pi = g.stationary()
-    if allow_bipartite_pseudoinverse:
-        ldag = two_step_pinv_diagonal(s, allow_bipartite_pseudoinverse=True)
+    if allow_bipartite_pseudoinverse or s._m_inv_diag is None:
+        ldag = two_step_pinv_diagonal(
+            s, allow_bipartite_pseudoinverse=allow_bipartite_pseudoinverse)
     else:
-        m_inv_diag = s._m_inv_diag if s._graph is g else None
-        if m_inv_diag is None:
-            m_inv_diag = _m_inverse_diagonal(g)
-        ldag = m_inv_diag - pi
+        ldag = s._m_inv_diag - pi
     contrib = pi * ldag
     return DisagreementExact(float(contrib.sum()), pi, ldag, contrib)
 
@@ -351,18 +355,15 @@ def partial_mean_hitting_time(g: WeightedGraph, target: int,
 def exact_kemeny_two_step(s: SpectralSummary) -> float:
     """Kemeny constant of the two-step walk: sum_{k>=2} 1/(1-lambda_k^2).
 
-    That sum is trace(M^-1) - 1, read from the diagonal of M^-1 that a
-    summary from ``decompose`` holds while the trace is at most
-    ``_TRACE_GATE``. Above it M is too ill-conditioned for its inverse
-    (on two triangles bridged by weight 1e-14 the trace is 3.9% below the
-    true 1.5e14, the eigenvalue sum 0.08% above it), so there, and for a
-    summary without d (explicit eigenpairs, bipartite input, a failed
-    factorisation), the eigenvalues are summed.
+    That sum is trace(M^-1) - 1, read from the diagonal of M^-1 when the
+    summary holds it (``decompose`` keeps it only while the trace is at
+    most ``_TRACE_GATE``). Any other summary sums its eigenvalues: above
+    the gate M is too ill-conditioned for its inverse (on two triangles
+    bridged by weight 1e-14 the trace is 3.9% below the true 1.5e14, the
+    ``eigvalsh`` sum 0.08% above it).
     """
-    if s.n == 1:
-        return 0.0
     m_inv_diag = s._m_inv_diag
-    if m_inv_diag is not None and m_inv_diag.sum() <= _TRACE_GATE:
+    if m_inv_diag is not None:
         return float(m_inv_diag.sum() - 1.0)
     lam = s.eigenvalues[1:]
     return float(np.sum(1.0 / (1.0 - lam * lam)))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy
@@ -138,6 +139,19 @@ def test_cost_warning_to_stderr(tri_path):
     assert err == ("warning: derived truncation length ell=26034 implies "
                    "walks of up to 52066 steps; consider --ell or a tighter "
                    "--lambda-bound\n")
+
+
+def test_main_restores_showwarning(tri_path, path5_path):
+    original = warnings.showwarning
+    code, _, err = run_cli([
+        "compute", str(tri_path), "sample", "--epsilon", "0.3",
+        "--lambda-bound", "0.9998", "--walks", "1", "--node-budget", "1",
+        "--reuse-walks"])
+    assert (code, err.startswith("warning:")) == (0, True)
+    assert warnings.showwarning is original
+    code, _, err = run_cli(["compute", str(path5_path), "exact"])
+    assert (code, err.startswith("error:")) == (2, True)
+    assert warnings.showwarning is original
 
 
 def test_fingerprint_stable_under_reordering():

@@ -271,6 +271,14 @@ def test_failed_cholesky_raises_domain_error(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing_dpotrf)
     with pytest.raises(dk.DomainError, match="not positive definite"):
         dk.exact_disagreement(triangle())
+    with pytest.raises(dk.DomainError, match="not positive definite"):
+        dk.decompose(triangle())
+
+
+def test_decompose_raises_above_the_node_cap(monkeypatch):
+    monkeypatch.setattr(dk.spectral, "DENSE_NODE_CAP", 2)
+    with pytest.raises(dk.ResourceError, match="capped at 2 nodes"):
+        dk.decompose(triangle())
 
 
 def _eigvalsh_kemeny(g):
@@ -379,13 +387,10 @@ def test_collatz_wielandt_miss_raises_without_an_eigensolve(monkeypatch):
     calls = _count_eigensolves(monkeypatch)
     with pytest.raises(dk.DomainError, match="leading eigenvalue"):
         dk.decompose(g)
-    # a tolerance the interval meets lets the same graph through
-    width = float(np.max(np.abs(ratios - 1.0)))
-    dk.decompose(g, lambda1_tol=2.0 * width)
     assert calls == []
 
 
-def test_high_trace_factor_is_kept_and_read_once(monkeypatch):
+def test_high_trace_factor_is_dropped_for_the_eigenpair_route(monkeypatch):
     # the bridged triangles of the near-unit warning test: the
     # factorisation succeeds with a trace far above the gate
     edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
@@ -395,12 +400,43 @@ def test_high_trace_factor_is_kept_and_read_once(monkeypatch):
     calls = _count_eigensolves(monkeypatch)
     with pytest.warns(dk.errors.NearBipartiteWarning):
         s = dk.decompose(g)
-    assert s._m_inv_diag.sum() > dk.spectral._TRACE_GATE
-    dk.exact_disagreement(g, s)
+    assert s._m_inv_diag is None
+    delta = dk.exact_disagreement(g, s).delta
     kemeny = dk.exact_kemeny_two_step(s)
     assert factorisations == ["dpotrf"]
-    # Kemeny sums the eigenvalues the warning check computed; the
-    # ill-conditioned trace is 3.9% off the true value 1.5e14
-    # (60-digit mpmath eigenvalues)
-    assert calls == ["eigvalsh"]
+    # both read the eigenvalues the warning check computed, delta also
+    # the eigenvectors; the ill-conditioned factor is 3.9% off either
+    # true value (60-digit mpmath eigenvalues: delta 2.5e13, Kemeny 1.5e14)
+    assert calls == ["eigvalsh", "eigh"]
+    assert delta == pytest.approx(2.5e13, rel=1e-2)
     assert kemeny == pytest.approx(1.5e14, rel=1e-2)
+
+
+def test_exact_disagreement_factors_once(monkeypatch):
+    g = random_connected_graph(30, 0.3, seed=4, weighted=True)
+    other = dk.decompose(random_connected_graph(30, 0.3, seed=5))
+    s = dk.decompose(g)
+    explicit = dk.SpectralSummary(s.eigenvalues, s.eigenvectors, s.gap_bound)
+    expected = dk.exact_disagreement(g, s).delta
+    factorisations = _count_factorisations(monkeypatch)
+    # without a summary, with its own (counting the decompose that makes
+    # it), another graph's, and explicit eigenpairs
+    for run in (lambda: dk.exact_disagreement(g),
+                lambda: dk.exact_disagreement(g, dk.decompose(g)),
+                lambda: dk.exact_disagreement(g, other),
+                lambda: dk.exact_disagreement(g, explicit)):
+        factorisations.clear()
+        assert run().delta == expected
+        assert factorisations == ["dpotrf"]
+
+
+def test_bipartite_bypass_runs_no_factorisation(monkeypatch):
+    g = path_graph(5)
+    factorisations = _count_factorisations(monkeypatch)
+    dk.exact_disagreement(g, allow_bipartite_pseudoinverse=True)
+    bypass = dk.decompose(g, allow_bipartite=True)
+    dk.exact_disagreement(g, bypass, allow_bipartite_pseudoinverse=True)
+    assert factorisations == []
+    # a summary checked in the bypass mode does not serve the default one
+    with pytest.raises(dk.DomainError, match="non-bipartite"):
+        dk.exact_disagreement(g, bypass)
