@@ -1,7 +1,8 @@
 """Command-line entry point: generate graphs, compute disagreement by any
 method, estimate Kemeny constants, and run sweep experiments.
 
-Exit codes: 0 success, 1 usage, 2 domain, 3 resource, 4 convergence.
+Exit codes: 0 success, 1 usage (or an unreadable input file), 2 domain,
+3 resource, 4 convergence.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import scipy
 
 from . import __version__, dynamics, generators, sampler, sparsify, spectral
 from .errors import CostWarning, DisagreeKitError, UsageError
-from .graph import WeightedGraph, edge_list_text, load_edge_list
+from .graph import (DENSE_NODE_CAP, WeightedGraph, edge_list_text,
+                    load_edge_list)
 from .rng import TAG_CELL, derive_seed
 from .threads import worker_count
 
@@ -88,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a model network")
-    gen.add_argument("family", choices=["ba", "apollonian", "gsw", "psfw"])
+    gen.add_argument("family", choices=list(generators.FAMILIES))
     gen.add_argument("--n", type=int, help="target node count")
     gen.add_argument("--m", type=int, help="edges per new node (ba)")
     gen.add_argument("--m0", type=int, help="seed-cycle size (ba)")
@@ -265,28 +267,10 @@ def _write_json(obj) -> None:
 # -- subcommands -------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    family = args.family
-    if family == "ba":
-        if args.n is None or args.m is None:
-            raise UsageError("gen ba needs --n and --m")
-        spec = generators.GeneratorSpec(
-            "ba", {"n": args.n, "m": args.m,
-                   **({"m0": args.m0} if args.m0 is not None else {})},
-            args.seed)
-    elif family == "apollonian":
-        if args.n is None:
-            raise UsageError("gen apollonian needs --n")
-        spec = generators.GeneratorSpec("apollonian",
-                                        {"n": args.n, "d": args.d}, args.seed)
-    elif family == "gsw":
-        if args.n is None or args.p is None:
-            raise UsageError("gen gsw needs --n and --p")
-        spec = generators.GeneratorSpec("gsw", {"n": args.n, "p": args.p},
-                                        args.seed)
-    else:
-        if args.g is None:
-            raise UsageError("gen psfw needs --g")
-        spec = generators.GeneratorSpec("psfw", {"g": args.g}, args.seed)
+    _, required, optional = generators.FAMILIES[args.family]
+    spec = generators.GeneratorSpec(
+        args.family, {k: getattr(args, k) for k in required + optional
+                      if getattr(args, k) is not None}, args.seed)
     g = generators.generate(spec)
     out = Path(args.out)
     out.write_text(edge_list_text(g), encoding="utf-8")
@@ -341,6 +325,15 @@ def cmd_kemeny(args) -> int:
 
 # -- sweep -------------------------------------------------------------
 
+def _config_int(cfg: dict, key: str, default: int) -> int:
+    """A JSON integer from a sweep config; anything else is a usage error."""
+    value = cfg.get(key, default)
+    if type(value) is not int:  # bool is an int subclass, not an integer
+        raise UsageError(f"sweep config {key!r} must be an integer, "
+                         f"got {value!r}")
+    return value
+
+
 def _sweep_graphs(cfg: dict, base: Path) -> list[tuple[str, WeightedGraph]]:
     out = []
     for entry in cfg.get("graphs", []):
@@ -354,7 +347,7 @@ def _sweep_graphs(cfg: dict, base: Path) -> list[tuple[str, WeightedGraph]]:
                 entry["family"],
                 {k: v for k, v in entry.items() if k not in
                  ("family", "seed", "name")},
-                entry.get("seed", cfg.get("seed", 0)))
+                _config_int(entry, "seed", cfg.get("seed", 0)))
             name = entry.get("name", entry["family"])
             out.append((name, generators.generate(spec)))
         else:
@@ -382,17 +375,17 @@ def run_sweep(cfg: dict, base: Path) -> list[dict]:
     for method in methods:
         if not isinstance(method, str) or method not in METHODS:
             raise UsageError(f"unknown sweep method {method!r}")
+    trials = _config_int(cfg, "trials", 20)
+    root_seed = _config_int(cfg, "seed", 0)
     graphs = _sweep_graphs(cfg, base)
     if not graphs or not methods:
         raise UsageError("sweep config needs non-empty 'graphs' and 'methods'")
     epsilons = cfg.get("epsilons", list(EPSILON_GRID))
-    trials = int(cfg.get("trials", 20))
-    root_seed = int(cfg.get("seed", 0))
-    cap = int(cfg.get("dense_cap", 20_000))
     workers = worker_count()
 
     # indexed by graph position: two graphs may share a display name
-    exact_cells = [_timed_exact(g) if g.n <= cap else None for _, g in graphs]
+    exact_cells = [_timed_exact(g) if g.n <= DENSE_NODE_CAP else None
+                   for _, g in graphs]
     with_rel = all(v is not None for v in exact_cells)
 
     cells = []
@@ -442,8 +435,6 @@ def cmd_sweep(args) -> int:
     cfg_path = Path(args.config)
     try:
         cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise UsageError(f"sweep config not found: {cfg_path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"sweep config is not valid JSON: {exc}") from None
     rows = run_sweep(cfg, cfg_path.parent)
@@ -480,9 +471,10 @@ def main(argv: list[str] | None = None) -> int:
 
             warnings.showwarning = to_stderr
             return COMMANDS[args.command](args)
-    except DisagreeKitError as exc:
+    except (DisagreeKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        # a missing or unreadable input file is a usage error
+        return getattr(exc, "exit_code", 1)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, UsageError
 from .graph import WeightedGraph
 
 #: node-count guard for the pseudofractal family (g=14 is ~7.2M nodes).
@@ -24,7 +24,7 @@ PSFW_NODE_CAP = 10_000_000
 class GeneratorSpec:
     """Family name plus family-specific parameters and a seed."""
 
-    family: str  # ba | apollonian | gsw | psfw
+    family: str  # a key of FAMILIES
     params: dict = field(default_factory=dict)
     seed: int = 0
 
@@ -34,17 +34,21 @@ class GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec) -> WeightedGraph:
-    """Dispatch a GeneratorSpec to its family generator."""
-    p = spec.params
-    if spec.family == "ba":
-        return generate_ba(p["n"], p["m"], m0=p.get("m0"), seed=spec.seed)
-    if spec.family == "apollonian":
-        return generate_apollonian(p["n"], d=p.get("d", 2), seed=spec.seed)
-    if spec.family == "gsw":
-        return generate_gsw(p["n"], p["p"], seed=spec.seed)
-    if spec.family == "psfw":
-        return generate_psfw(p["g"])
-    raise DomainError(f"unknown generator family {spec.family!r}")
+    """Dispatch a GeneratorSpec through ``FAMILIES``; an unknown family, a
+    missing parameter or an unknown one is a ``UsageError``."""
+    if spec.family not in FAMILIES:
+        raise UsageError(f"unknown generator family {spec.family!r}; "
+                         f"choose from {', '.join(FAMILIES)}")
+    make, required, optional = FAMILIES[spec.family]
+    missing = [k for k in required if k not in spec.params]
+    if missing:
+        raise UsageError(f"family {spec.family!r} needs {', '.join(missing)}")
+    unknown = sorted(set(spec.params) - set(required) - set(optional))
+    if unknown:
+        raise UsageError(f"family {spec.family!r} takes "
+                         f"{', '.join(required + optional)}, not "
+                         f"{', '.join(unknown)}")
+    return make(spec.seed, **spec.params)
 
 
 def generate_ba(n: int, m: int, *, m0: int | None = None,
@@ -155,9 +159,19 @@ def generate_psfw(g: int) -> WeightedGraph:
         new = size + np.arange(len(u), dtype=np.int64)
         u, v = np.concatenate([u, u, v]), np.concatenate([v, new, new])
         size += len(new)
-    w = np.ones(len(u))
-    order = np.lexsort((v, u))
-    return WeightedGraph(size, u[order], v[order], w[order])
+    return WeightedGraph(size, u, v, np.ones(len(u)))
+
+
+#: family -> (seed, **params) -> graph, required params, optional params.
+#: ``generate`` and the CLI's ``gen`` and sweep read the names from here.
+FAMILIES = {
+    "ba": (lambda seed, **p: generate_ba(**p, seed=seed), ("n", "m"),
+           ("m0",)),
+    "apollonian": (lambda seed, **p: generate_apollonian(**p, seed=seed),
+                   ("n",), ("d",)),
+    "gsw": (lambda seed, **p: generate_gsw(**p, seed=seed), ("n", "p"), ()),
+    "psfw": (lambda seed, g: generate_psfw(g), ("g",), ()),
+}
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Undirected weighted graphs: representation, I/O, validation, two-step graph.
 
 Nodes are dense 0-based integers after loading; the loader relabels
-arbitrary ids and records the mapping in ``node_labels``. Degrees follow
+arbitrary ids and records the mapping in ``node_labels``. Only
+``WeightedGraph.__init__`` puts edges in canonical order. Degrees follow
 the convention that a self-loop contributes its weight once, which makes
 the two-step graph degree-preserving.
 """
@@ -21,6 +22,8 @@ from .errors import DomainError, DuplicateEdgeError, ParseError, ResourceError
 #: Largest node count admitted to dense materializations (two-step graph,
 #: full eigendecompositions). Beyond this, use the sampling estimators.
 DENSE_NODE_CAP = 20_000
+
+_EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
 class WeightedGraph:
@@ -79,38 +82,36 @@ class WeightedGraph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, float]], *,
                    allow_self_loops: bool = False,
                    node_labels=None) -> "WeightedGraph":
-        """Build a graph from (u, v, w) triples; rejects duplicates."""
+        """Build a graph from (u, v, w) triples. Reports the first bad edge in
+        input order (range, then weight, then self-loop), else the first
+        duplicate in canonical order."""
         n = int(n)
         if n < 1:
             raise DomainError("graph needs at least one node")
-        us, vs, ws = [], [], []
-        for u, v, w in edges:
-            u, v, w = int(u), int(v), float(w)
-            if not (0 <= u < n and 0 <= v < n):
-                raise DomainError(f"edge ({u}, {v}) out of range for n={n}")
-            if w <= 0.0 or not np.isfinite(w):
-                raise DomainError(f"edge ({u}, {v}) has nonpositive weight {w}")
-            if u == v and not allow_self_loops:
-                raise DomainError(f"self-loop at node {u} is not allowed here")
-            if u > v:
-                u, v = v, u
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
-        if not us and n > 1:
+        e = np.fromiter(map(tuple, edges), dtype=_EDGE_DTYPE)
+        u, v, w = e["u"], e["v"], e["w"]
+        out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        bad_weight = ~(np.isfinite(w) & (w > 0.0))
+        loop = (u == v) & (not allow_self_loops)
+        bad = out_of_range | bad_weight | loop
+        if bad.any():
+            k = int(np.argmax(bad))
+            uk, vk = int(u[k]), int(v[k])
+            if out_of_range[k]:
+                raise DomainError(f"edge ({uk}, {vk}) out of range for n={n}")
+            if bad_weight[k]:
+                raise DomainError(
+                    f"edge ({uk}, {vk}) has nonpositive weight {float(w[k])}")
+            raise DomainError(f"self-loop at node {uk} is not allowed here")
+        if not len(u) and n > 1:
             raise DomainError("edge list is empty")
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        ws = np.asarray(ws, dtype=np.float64)
-        order = np.lexsort((vs, us))
-        us, vs, ws = us[order], vs[order], ws[order]
-        if len(us) > 1:
-            dup = (us[1:] == us[:-1]) & (vs[1:] == vs[:-1])
-            if dup.any():
-                k = int(np.flatnonzero(dup)[0])
-                raise DuplicateEdgeError(
-                    f"duplicate undirected edge ({us[k]}, {vs[k]})")
-        return cls(n, us, vs, ws, node_labels=node_labels)
+        g = cls(n, u, v, w, node_labels=node_labels)
+        dup = (g.edge_u[1:] == g.edge_u[:-1]) & (g.edge_v[1:] == g.edge_v[:-1])
+        if dup.any():
+            k = int(np.argmax(dup))
+            raise DuplicateEdgeError(
+                f"duplicate undirected edge ({g.edge_u[k]}, {g.edge_v[k]})")
+        return g
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -236,14 +237,11 @@ def require_ergodic(g: WeightedGraph, what: str, *,
         raise DomainError(f"{what} requires a non-bipartite graph")
 
 
-def restrict_to_lcc(g: WeightedGraph,
-                    validation: GraphValidation | None = None) -> WeightedGraph:
+def restrict_to_lcc(g: WeightedGraph) -> WeightedGraph:
     """Relabel onto the largest connected component; identity when connected."""
-    if validation is None:
-        validation = validate(g)
-    if validation.connected:
+    mapping = validate(g).lcc_node_map
+    if mapping is None:  # connected
         return g
-    mapping = validation.lcc_node_map
     old = np.fromiter(mapping, dtype=np.int64, count=len(mapping))
     lut = np.full(g.n, -1, dtype=np.int64)
     lut[old] = np.fromiter(mapping.values(), dtype=np.int64,
@@ -269,8 +267,7 @@ def load_bundled(name: str) -> WeightedGraph:
     return load_edge_list(io.StringIO(resource.read_text(encoding="utf-8")))
 
 
-def load_edge_list(source, format: str = "auto", *,
-                   allow_self_loops: bool = False) -> WeightedGraph:
+def load_edge_list(source, *, allow_self_loops: bool = False) -> WeightedGraph:
     """Parse a whitespace-separated edge list.
 
     One edge per line as ``u v`` or ``u v w`` with nonnegative integer
@@ -278,8 +275,6 @@ def load_edge_list(source, format: str = "auto", *,
     relabeled to dense 0-based integers (mapping kept in
     ``node_labels``). Duplicate undirected edges are rejected.
     """
-    if format not in ("auto", "tsv-unweighted", "tsv-weighted"):
-        raise DomainError(f"unknown edge-list format {format!r}")
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -294,10 +289,6 @@ def load_edge_list(source, format: str = "auto", *,
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split()
-        if format == "tsv-unweighted" and len(parts) != 2:
-            raise ParseError("expected 'u v'", line_no)
-        if format == "tsv-weighted" and len(parts) != 3:
-            raise ParseError("expected 'u v w'", line_no)
         if len(parts) not in (2, 3):
             raise ParseError("expected 'u v' or 'u v w'", line_no)
         try:
@@ -323,28 +314,27 @@ def load_edge_list(source, format: str = "auto", *,
     if not raw:
         raise DomainError("edge list is empty")
 
-    ids = sorted({u for u, _, _ in raw} | {v for _, v, _ in raw})
-    lut = {orig: i for i, orig in enumerate(ids)}
-    edges = [(lut[u], lut[v], w) for u, v, w in raw]
-    labels = np.asarray(ids, dtype=np.int64)
-    if np.array_equal(labels, np.arange(len(ids))):
-        labels = None
-    return WeightedGraph.from_edges(len(ids), edges,
-                                    allow_self_loops=allow_self_loops,
-                                    node_labels=labels)
+    us, vs, ws = zip(*raw)
+    ids, dense = np.unique(np.array(us + vs, dtype=np.int64),
+                           return_inverse=True)
+    m = len(raw)
+    # sorted distinct nonnegative ids are 0..k-1 iff the last one is k-1
+    return WeightedGraph.from_edges(
+        len(ids), zip(dense[:m].tolist(), dense[m:].tolist(), ws),
+        allow_self_loops=allow_self_loops,
+        node_labels=None if ids[-1] == len(ids) - 1 else ids)
 
 
 def edge_list_text(g: WeightedGraph) -> str:
     """Canonical serialization: sorted edges, weights omitted when all 1."""
-    labels = g.node_labels if g.node_labels is not None else np.arange(g.n)
-    out = []
+    u, v = g.edge_u, g.edge_v
+    if g.node_labels is not None:
+        u, v = g.node_labels[u], g.node_labels[v]
+    u, v = u.tolist(), v.tolist()
     if g.is_unit_weighted:
-        for u, v, _ in g.edges():
-            out.append(f"{labels[u]}\t{labels[v]}\n")
-    else:
-        for u, v, w in g.edges():
-            out.append(f"{labels[u]}\t{labels[v]}\t{w!r}\n")
-    return "".join(out)
+        return "".join(f"{a}\t{b}\n" for a, b in zip(u, v))
+    return "".join(f"{a}\t{b}\t{c!r}\n"
+                   for a, b, c in zip(u, v, g.edge_w.tolist()))
 
 
 # -- two-step graph ----------------------------------------------------

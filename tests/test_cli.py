@@ -68,9 +68,10 @@ def test_gen_resource_error(tmp_path):
 
 
 def test_gen_missing_args(tmp_path):
-    code, _, _ = run_cli(["gen", "ba", "--n", "10",
-                          "--out", str(tmp_path / "x.tsv")])
+    code, _, err = run_cli(["gen", "ba", "--n", "10",
+                            "--out", str(tmp_path / "x.tsv")])
     assert code == 1
+    assert err == "error: family 'ba' needs m\n"
 
 
 def test_compute_exact_zachary(zachary_path):
@@ -252,6 +253,62 @@ def test_sweep_empty_config_is_usage_error(tmp_path):
     assert code == 1
     code, _, _ = run_cli(["sweep", str(tmp_path / "missing.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize("entry, named", [
+    ({"family": "ba", "n": 10}, "m"),
+    ({"family": "gsw", "n": 10, "p": 0.5, "q": 3}, "q"),
+    ({"family": "lattice", "n": 10}, "lattice"),
+])
+def test_sweep_family_spec_is_checked(tmp_path, entry, named):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"methods": ["exact"], "graphs": [entry]}))
+    code, _, err = run_cli(["sweep", str(cfg_path)])
+    assert code == 1
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("change", [
+    {"trials": "x"}, {"seed": 1.5}, {"seed": "7"}, {"trials": True},
+    {"graphs": [{"family": "psfw", "g": 2, "seed": "x"}]},
+])
+def test_sweep_non_integer_scalars_are_usage_errors(tmp_path, change):
+    cfg = {"methods": ["exact"], "graphs": [{"family": "psfw", "g": 2}],
+           **change}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(["sweep", str(cfg_path)])
+    assert code == 1 and err.startswith("error:") and "integer" in err
+
+
+def test_missing_graph_files_exit_1(tmp_path):
+    missing = str(tmp_path / "nofile.tsv")
+    code, _, err = run_cli(["compute", missing, "exact"])
+    assert code == 1 and err.startswith("error:") and "nofile.tsv" in err
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"methods": ["exact"],
+                                    "graphs": [{"path": "nofile.tsv"}]}))
+    code, _, err = run_cli(["sweep", str(cfg_path)])
+    assert code == 1 and err.startswith("error:") and "nofile.tsv" in err
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["ba", "--n", "30", "--m", "2", "--m0", "4"], {"n": 30, "m": 2,
+                                                    "m0": 4}),
+    (["ba", "--n", "30", "--m", "2", "--p", "0.5"], {"n": 30, "m": 2}),
+    (["apollonian", "--n", "30"], {"n": 30, "d": 2}),
+    (["gsw", "--n", "30", "--p", "0.5"], {"n": 30, "p": 0.5}),
+    (["psfw", "--g", "2"], {"g": 2}),
+])
+def test_gen_takes_the_family_params_from_the_table(tmp_path, argv, params):
+    out = tmp_path / "g.tsv"
+    code, stdout, err = run_cli(["gen", *argv, "--seed", "3",
+                                 "--out", str(out)])
+    assert code == 0, err
+    sidecar = json.loads((tmp_path / "g.tsv.spec.json").read_text())
+    assert sidecar == {"family": argv[0], "params": params, "seed": 3}
+    expected = dk.generate(dk.GeneratorSpec(argv[0], params, 3))
+    assert json.loads(stdout)["fingerprint"] == graph_fingerprint(expected)
 
 
 def test_sweep_exact_cell_reuses_up_front_value(tmp_path, tri_path,

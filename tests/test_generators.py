@@ -124,3 +124,29 @@ def test_generator_determinism():
     a = dk.edge_list_text(dk.generate_ba(200, 2, seed=1))
     b = dk.edge_list_text(dk.generate_ba(200, 2, seed=2))
     assert a != b
+
+
+@pytest.mark.parametrize("family, params", [
+    ("ba", {"n": 200, "m": 2}), ("ba", {"n": 200, "m": 2, "m0": 5}),
+    ("apollonian", {"n": 200}), ("apollonian", {"n": 200, "d": 3}),
+    ("gsw", {"n": 200, "p": 0.3}), ("psfw", {"g": 3}),
+])
+def test_generate_dispatches_to_the_family_generator(family, params):
+    direct = {"ba": dk.generate_ba, "apollonian": dk.generate_apollonian,
+              "gsw": dk.generate_gsw,
+              "psfw": lambda g, seed: dk.generate_psfw(g)}
+    g = dk.generate(dk.GeneratorSpec(family, params, seed=11))
+    ref = direct[family](**params, seed=11)
+    assert dk.edge_list_text(g) == dk.edge_list_text(ref)
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("ba", {"n": 10}, "family 'ba' needs m"),
+    ("gsw", {"p": 0.5}, "family 'gsw' needs n"),
+    ("gsw", {"n": 10, "p": 0.5, "q": 3}, "family 'gsw' takes n, p, not q"),
+    ("psfw", {"g": 2, "n": 5}, "family 'psfw' takes g, not n"),
+    ("lattice", {"n": 10}, "unknown generator family 'lattice'"),
+])
+def test_generate_checks_the_family_and_its_params(family, params, message):
+    with pytest.raises(dk.UsageError, match=message):
+        dk.generate(dk.GeneratorSpec(family, params))

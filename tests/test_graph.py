@@ -52,14 +52,118 @@ def test_load_rejects_self_loops_by_default():
     assert g.degrees[0] == 3.0  # loop weight counted once
 
 
-def test_load_formats():
-    with pytest.raises(dk.ParseError):
-        dk.load_edge_list(io.StringIO("0 1 2.0\n"), format="tsv-unweighted")
-    with pytest.raises(dk.ParseError):
-        dk.load_edge_list(io.StringIO("0 1\n"), format="tsv-weighted")
-    g = dk.load_edge_list(io.StringIO("# comment\n\n0 1\n"),
-                          format="tsv-unweighted")
-    assert g.m == 1
+@st.composite
+def _edge_list_texts(draw):
+    """(edge-list text, its canonical serialization): sparse labels, shuffled
+    edges, reversed endpoints, comments and blank lines, weighted or not."""
+    labels = draw(st.lists(st.integers(0, 10**12), min_size=2, max_size=12,
+                           unique=True))
+    label = st.sampled_from(labels)
+    pairs = sorted(draw(st.sets(
+        st.tuples(label, label).filter(lambda e: e[0] != e[1])
+        .map(lambda e: (min(e), max(e))), min_size=1, max_size=20)))
+    weight = (st.floats(1e-3, 1e3) if draw(st.booleans())
+              else st.just(1.0))
+    weights = [draw(weight) for _ in pairs]
+    unit = all(w == 1.0 for w in weights)
+    canonical = "".join(f"{a}\t{b}\n" if unit else f"{a}\t{b}\t{w!r}\n"
+                        for (a, b), w in zip(pairs, weights))
+    lines = []
+    for i in draw(st.permutations(range(len(pairs)))):
+        a, b = pairs[i]
+        if draw(st.booleans()):
+            a, b = b, a
+        sep = draw(st.sampled_from(["\t", " ", "  "]))
+        lines.append(sep.join([str(a), str(b)] +
+                              ([] if unit else [repr(weights[i])])))
+        lines.extend(draw(st.lists(st.sampled_from(["", "# note", "  "]),
+                                   max_size=2)))
+    return "\n".join(lines) + "\n", canonical
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_list_texts())
+def test_load_and_edge_list_text_round_trip(case):
+    text, canonical = case
+    g = dk.load_edge_list(io.StringIO(text))
+    assert dk.edge_list_text(g) == canonical
+    again = dk.load_edge_list(io.StringIO(canonical))
+    assert dk.edge_list_text(again) == canonical
+    for attr in ("edge_u", "edge_v", "edge_w", "indptr", "indices",
+                 "weights"):
+        assert np.array_equal(getattr(again, attr), getattr(g, attr))
+
+
+@pytest.mark.parametrize("edges, allow_loops, error, message", [
+    # range, then weight, then self-loop, on the first bad edge in input order
+    ([(0, 1, 1.0), (0, 5, -1.0), (2, 2, 1.0)], False, dk.DomainError,
+     "edge (0, 5) out of range for n=3"),
+    ([(0, 1, 1.0), (1, 1, 0.0), (0, 9, 1.0)], False, dk.DomainError,
+     "edge (1, 1) has nonpositive weight 0.0"),
+    ([(0, 1, 1.0), (2, 2, 1.0), (1, 2, float("nan"))], False, dk.DomainError,
+     "self-loop at node 2 is not allowed here"),
+    ([(2, 2, 1.0), (0, 1, float("inf")), (0, 3, 1.0)], True, dk.DomainError,
+     "edge (0, 1) has nonpositive weight inf"),
+    # every per-edge check comes before any duplicate
+    ([(0, 1, 1.0), (1, 0, 1.0), (1, 2, -1.0)], False, dk.DomainError,
+     "edge (1, 2) has nonpositive weight -1.0"),
+    # the first duplicate in canonical order, whatever the input order
+    ([(2, 1, 1.0), (1, 2, 1.0), (0, 1, 1.0), (1, 0, 2.0)], False,
+     dk.DuplicateEdgeError, "duplicate undirected edge (0, 1)"),
+])
+def test_from_edges_reports_the_first_bad_edge(edges, allow_loops, error,
+                                               message):
+    with pytest.raises(error) as exc:
+        dk.WeightedGraph.from_edges(3, edges, allow_self_loops=allow_loops)
+    assert str(exc.value) == message
+    if error is dk.DomainError:
+        assert not isinstance(exc.value, dk.DuplicateEdgeError)
+
+
+def _loop_from_edges(n, edges, allow_self_loops):
+    """The per-edge loop ``from_edges`` once ran: canonical (u, v, w) arrays
+    or the error it raises."""
+    us, vs, ws = [], [], []
+    for u, v, w in edges:
+        u, v, w = int(u), int(v), float(w)
+        if not (0 <= u < n and 0 <= v < n):
+            raise dk.DomainError(f"edge ({u}, {v}) out of range for n={n}")
+        if w <= 0.0 or not np.isfinite(w):
+            raise dk.DomainError(f"edge ({u}, {v}) has nonpositive weight {w}")
+        if u == v and not allow_self_loops:
+            raise dk.DomainError(f"self-loop at node {u} is not allowed here")
+        us.append(min(u, v))
+        vs.append(max(u, v))
+        ws.append(w)
+    if not us and n > 1:
+        raise dk.DomainError("edge list is empty")
+    order = sorted(range(len(us)), key=lambda i: (us[i], vs[i]))
+    for a, b in zip(order, order[1:]):
+        if (us[a], vs[a]) == (us[b], vs[b]):
+            raise dk.DuplicateEdgeError(
+                f"duplicate undirected edge ({us[a]}, {vs[a]})")
+    return ([us[i] for i in order], [vs[i] for i in order],
+            [ws[i] for i in order])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.lists(st.tuples(
+    st.integers(-1, 7), st.integers(-1, 7),
+    st.sampled_from([1.0, 2.5, 0.0, -1.0, float("nan"), float("inf")])),
+    max_size=8), st.booleans())
+def test_from_edges_matches_the_per_edge_loop(n, edges, allow_self_loops):
+    try:
+        expected = _loop_from_edges(n, edges, allow_self_loops)
+    except dk.DomainError as exc:
+        with pytest.raises(type(exc)) as got:
+            dk.WeightedGraph.from_edges(n, edges,
+                                        allow_self_loops=allow_self_loops)
+        assert str(got.value) == str(exc)
+        return
+    g = dk.WeightedGraph.from_edges(n, edges,
+                                    allow_self_loops=allow_self_loops)
+    assert [g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()] == \
+        list(expected)
 
 
 def test_loader_relabels_and_roundtrips():
@@ -103,7 +207,7 @@ def test_validate_disjoint_triangles_lcc_tiebreak():
     assert v.component_count == 2
     assert len(v.lcc_node_map) == len(components_oracle(g)[0]) == 3
     assert set(v.lcc_node_map) == {0, 1, 2}  # tie -> smallest min node id
-    lcc = dk.restrict_to_lcc(g, v)
+    lcc = dk.restrict_to_lcc(g)
     assert lcc.n == 3 and lcc.m == 3
     assert list(lcc.node_labels) == [0, 1, 2]
 
@@ -186,7 +290,7 @@ def test_restrict_to_lcc_matches_dict_relabelling(case, labelled):
     g = dk.WeightedGraph.from_edges(
         n, [(u, v, 1.0 + u + v) for u, v in pairs], node_labels=labels)
     v = dk.validate(g)
-    lcc = dk.restrict_to_lcc(g, v)
+    lcc = dk.restrict_to_lcc(g)
     if v.connected:
         assert lcc is g
         return
