@@ -206,6 +206,21 @@ SWEEP_METHODS = {**METHODS, "sample": lambda g, opts, eps, seed:
                  sampler.sample_disagreement(
                      g, _sample_params(g, opts, eps, seed, _SWEEP_ADVICE))}
 
+#: method name -> the option keys ``METHODS`` reads, which a sweep config
+#: section may hold; each is the ``compute`` flag of the same name unless
+#: ``_FLAG_OF`` names another.
+OPTION_KEYS = {
+    "exact": ("allow_bipartite",),
+    "sample": ("lambda_bound", "ell", "walks", "node_budget", "reuse_walks"),
+    "approx": ("oversample", "kappa", "max_cg_iters"),
+    "mc": ("burn_in", "horizon", "truncation_cap", "walks_per_target"),
+    "simulate": ("burn_in", "horizon", "truncation_cap"),
+}
+_FLAG_OF = {"oversample": "oversample_c", "kappa": "kappa_override",
+            "truncation_cap": "cap", "walks_per_target": "walks"}
+#: a sweep's exact cells reuse one up-front solve, which takes no options
+SWEEP_OPTION_KEYS = {**OPTION_KEYS, "exact": ()}
+
 
 def _method_options(args) -> dict:
     """The ``compute``/``kemeny`` flags of ``args.method`` as its options."""
@@ -214,20 +229,9 @@ def _method_options(args) -> dict:
             raise UsageError("give either --lambda-bound or --estimate-gap")
         if args.lambda_bound is None and not args.estimate_gap:
             raise UsageError("sampling needs --lambda-bound or --estimate-gap")
-    dyn = {"burn_in": args.burn_in, "horizon": args.horizon,
-           "truncation_cap": args.cap}
-    options = {
-        "exact": {"allow_bipartite": args.allow_bipartite},
-        "sample": {"lambda_bound": args.lambda_bound, "ell": args.ell,
-                   "walks": args.walks, "node_budget": args.node_budget,
-                   "reuse_walks": args.reuse_walks},
-        "approx": {"oversample": args.oversample_c,
-                   "kappa": args.kappa_override,
-                   "max_cg_iters": args.max_cg_iters},
-        "mc": {**dyn, "walks_per_target": args.walks},
-        "simulate": dyn,
-    }[args.method]
-    return {k: v for k, v in options.items() if v is not None}
+    flags = {key: getattr(args, _FLAG_OF.get(key, key))
+             for key in OPTION_KEYS[args.method]}
+    return {k: v for k, v in flags.items() if v is not None}
 
 
 def _compute_record(g: WeightedGraph, method: str, options: dict,
@@ -334,9 +338,35 @@ def _config_int(cfg: dict, key: str, default: int) -> int:
     return value
 
 
+def _config_list(cfg: dict, key: str, default: list) -> list:
+    """A JSON list from a sweep config; anything else is a usage error."""
+    value = cfg.get(key, default)
+    if not isinstance(value, list):
+        raise UsageError(f"sweep config {key!r} must be a list, "
+                         f"got {value!r}")
+    return value
+
+
+def _check_sections(cfg: dict) -> None:
+    """Each method section must be an object of that method's option keys:
+    a misspelt key would otherwise be ignored silently."""
+    for method, keys in SWEEP_OPTION_KEYS.items():
+        section = cfg.get(method, {})
+        if not isinstance(section, dict):
+            raise UsageError(f"sweep config {method!r} must be an object, "
+                             f"got {section!r}")
+        unknown = sorted(set(section) - set(keys))
+        if unknown:
+            raise UsageError(f"sweep config {method!r} has unknown keys "
+                             f"{unknown}; it takes {list(keys)}")
+
+
 def _sweep_graphs(cfg: dict, base: Path) -> list[tuple[str, WeightedGraph]]:
     out = []
-    for entry in cfg.get("graphs", []):
+    for entry in _config_list(cfg, "graphs", []):
+        if not isinstance(entry, dict):
+            raise UsageError(f"sweep graph entry must be an object, "
+                             f"got {entry!r}")
         if "path" in entry:
             path = Path(entry["path"])
             if not path.is_absolute():
@@ -371,16 +401,22 @@ def _timed_exact(g: WeightedGraph) -> tuple[float, float]:
 
 
 def run_sweep(cfg: dict, base: Path) -> list[dict]:
-    methods = cfg.get("methods", [])
+    if not isinstance(cfg, dict):
+        raise UsageError(f"sweep config must be a JSON object, got {cfg!r}")
+    methods = _config_list(cfg, "methods", [])
     for method in methods:
         if not isinstance(method, str) or method not in METHODS:
             raise UsageError(f"unknown sweep method {method!r}")
+    _check_sections(cfg)
+    epsilons = _config_list(cfg, "epsilons", list(EPSILON_GRID))
+    for eps in epsilons:
+        if type(eps) not in (int, float):  # bool is no epsilon either
+            raise UsageError(f"sweep epsilons must be numbers, got {eps!r}")
     trials = _config_int(cfg, "trials", 20)
     root_seed = _config_int(cfg, "seed", 0)
     graphs = _sweep_graphs(cfg, base)
     if not graphs or not methods:
         raise UsageError("sweep config needs non-empty 'graphs' and 'methods'")
-    epsilons = cfg.get("epsilons", list(EPSILON_GRID))
     workers = worker_count()
 
     # indexed by graph position: two graphs may share a display name

@@ -88,7 +88,10 @@ class WeightedGraph:
         n = int(n)
         if n < 1:
             raise DomainError("graph needs at least one node")
-        e = np.fromiter(map(tuple, edges), dtype=_EDGE_DTYPE)
+        try:
+            e = np.fromiter(map(tuple, edges), dtype=_EDGE_DTYPE)
+        except OverflowError:  # an id past int64 is out of range for any n
+            raise DomainError(f"an edge is out of range for n={n}") from None
         u, v, w = e["u"], e["v"], e["w"]
         out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
         bad_weight = ~(np.isfinite(w) & (w > 0.0))
@@ -299,6 +302,8 @@ def load_edge_list(source, *, allow_self_loops: bool = False) -> WeightedGraph:
                              line_no) from None
         if u < 0 or v < 0:
             raise ParseError("node ids must be nonnegative", line_no)
+        if max(u, v) >= 2 ** 63:  # ids are relabeled through int64
+            raise ParseError("node ids must be below 2**63", line_no)
         if len(parts) == 3:
             try:
                 w = float(parts[2])

@@ -16,6 +16,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,9 +29,9 @@ from .rng import TAG_SKETCH, TAG_SPARSIFY, derive_rng
 from .threads import worker_count
 from .walks import NeighborSampler
 
-#: a CG block of n x k entries is split across at most n k // this many
-#: threads; on 2 cores, a two-way split of a smaller block saved nothing
-SPLIT_MIN_ENTRIES = 2 ** 16
+#: size of one n x width float64 CG block: its per-iteration arrays then
+#: stay in a core's L2 cache instead of streaming through memory
+CG_BLOCK_BYTES = 1 << 19
 
 
 @dataclass
@@ -172,13 +173,16 @@ def laplacian_solve(lap: SparsifiedLaplacian, y: np.ndarray, kappa: float, *,
     being a monotone lower bound on ||pinv(L) y||_L^2. Accepts a single
     vector or a column-stacked batch; returns (x, iterations).
 
-    A batch of k columns is split into w = min(worker_count(), k // 2,
-    n k // SPLIT_MIN_ENTRIES) contiguous column blocks, each solved in its
-    own thread (the calling thread takes the first). Step sizes, stopping
-    test and re-projection are per column, so the split returns a
-    bit-identical x, and the iteration count, the maximum over blocks, is
-    that of the unsplit solve. A block that hits ``max_iters`` raises
-    ConvergenceError with that block's worst residual.
+    A batch of k columns is solved in blocks of about width =
+    max(2, CG_BLOCK_BYTES // (8 n)) columns (``cg_blocks``). The k columns
+    are split into w = min(worker_count(), max(1, k // width)) contiguous
+    ranges, one per thread (the calling thread takes the first), and a
+    range of l columns into max(1, l // width) consecutive blocks, each
+    solved to its own stop. Step sizes, stopping test and re-projection
+    are per column, so the layout leaves x bit-identical, and the
+    iteration count, the maximum over blocks, is that of one solve on all
+    k columns. A block that hits ``max_iters`` raises ConvergenceError
+    with that block's worst residual.
     """
     if kappa <= 0.0:
         raise DomainError(f"solver tolerance must be positive, got {kappa}")
@@ -196,23 +200,33 @@ def laplacian_solve(lap: SparsifiedLaplacian, y: np.ndarray, kappa: float, *,
     if max_iters is None:
         max_iters = max(200, 40 * n)
 
-    def solve(cols: slice) -> tuple[np.ndarray, int]:
-        return _cg_block(mat, inv_diag, lam_min, kappa, max_iters,
-                         b[:, cols], scale[cols])
+    def solve(blocks: list[tuple[int, int]]) -> list[tuple[np.ndarray, int]]:
+        return [_cg_block(mat, inv_diag, lam_min, kappa, max_iters,
+                          b[:, lo:hi], scale[lo:hi]) for lo, hi in blocks]
 
-    # blocks keep at least two columns: numpy reduces a single column in
-    # another summation order, which would change the last bits of x
-    w = min(worker_count(), k // 2, n * k // SPLIT_MIN_ENTRIES)
-    if w <= 1:
-        x, it = solve(slice(None))
-    else:
-        edges = [k * i // w for i in range(w + 1)]
-        blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-        with ThreadPoolExecutor(max_workers=w - 1) as pool:
-            rest = pool.map(solve, blocks[1:])
-            xs, iters = zip(solve(blocks[0]), *rest)
-        x, it = np.concatenate(xs, axis=1), max(iters)
-    return (x[:, 0] if single else x), it
+    ranges = cg_blocks(n, k, worker_count())
+    with ThreadPoolExecutor(max_workers=max(1, len(ranges) - 1)) as pool:
+        rest = pool.map(solve, ranges[1:])
+        xs, iters = zip(*solve(ranges[0]), *chain.from_iterable(rest))
+    # one block is returned as solved: a copy would double its memory
+    x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
+    return (x[:, 0] if single else x), max(iters)
+
+
+def cg_blocks(n: int, k: int, threads: int) -> list[list[tuple[int, int]]]:
+    """The column layout of ``laplacian_solve``: per thread, the
+    consecutive (lo, hi) blocks it solves. Blocks keep at least two
+    columns (unless k = 1): numpy reduces a single column in another
+    summation order, which would change the last bits of x."""
+    width = max(2, CG_BLOCK_BYTES // (8 * n))
+    ranges = _split(0, k, min(threads, max(1, k // width)))
+    return [_split(lo, hi, max(1, (hi - lo) // width)) for lo, hi in ranges]
+
+
+def _split(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
+    """lo..hi as ``parts`` contiguous ranges whose lengths differ by <= 1."""
+    edges = [lo + (hi - lo) * i // parts for i in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def _cg_block(mat: sp.csr_matrix, inv_diag: np.ndarray, lam_min: float,
@@ -238,9 +252,12 @@ def _cg_block(mat: sp.csr_matrix, inv_diag: np.ndarray, lam_min: float,
         q = mat @ p
         pq = np.einsum("ij,ij->j", p, q)
         alpha = np.where(done | (pq <= 0.0), 0.0, rz / np.where(pq == 0, 1, pq))
-        x += alpha * p
-        lx += alpha * q
-        r -= alpha * q
+        # z is dead until its recompute below, so it serves as scratch
+        np.multiply(alpha, p, out=z)
+        x += z
+        np.multiply(alpha, q, out=z)
+        lx += z
+        r -= z
         # re-project: keeps roundoff from drifting out of the ones-complement
         r -= r.mean(axis=0, keepdims=True)
         lower = 2.0 * np.einsum("ij,ij->j", b, x) - np.einsum(
@@ -249,10 +266,11 @@ def _cg_block(mat: sp.csr_matrix, inv_diag: np.ndarray, lam_min: float,
         thresh_sq = kappa * kappa * lam_min * lower
         res_sq = np.einsum("ij,ij->j", r, r)
         done = done | (res_sq <= thresh_sq)
-        z = inv_diag[:, None] * r
+        np.multiply(inv_diag[:, None], r, out=z)
         rz_new = np.einsum("ij,ij->j", r, z)
         beta = np.where(rz == 0.0, 0.0, rz_new / np.where(rz == 0, 1, rz))
-        p = z + beta * p
+        p *= beta  # then p + z, which equals z + beta p bit for bit
+        p += z
         rz = rz_new
         it += 1
     x -= x.mean(axis=0, keepdims=True)

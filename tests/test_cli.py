@@ -281,6 +281,38 @@ def test_sweep_non_integer_scalars_are_usage_errors(tmp_path, change):
     assert code == 1 and err.startswith("error:") and "integer" in err
 
 
+@pytest.mark.parametrize("cfg, named", [
+    ([1], "object"),
+    ({"methods": ["exact"], "graphs": [{"family": "psfw", "g": 2}],
+      "epsilons": ["x"]}, "epsilons"),
+    ({"methods": ["exact"], "graphs": [{"family": "psfw", "g": 2}],
+      "epsilons": 0.25}, "epsilons"),
+    ({"methods": ["exact"], "graphs": [1]}, "graph entry"),
+    ({"methods": ["sample"], "graphs": [{"family": "psfw", "g": 2}],
+      "sample": {"walk": 50, "lambda_bound": 0.9}}, "walk"),
+    ({"methods": ["simulate"], "graphs": [{"family": "psfw", "g": 2}],
+      "simulate": {"walks_per_target": 5}}, "walks_per_target"),
+    ({"methods": ["approx"], "graphs": [{"family": "psfw", "g": 2}],
+      "approx": [1]}, "approx"),
+])
+def test_sweep_configs_of_the_wrong_shape_are_usage_errors(tmp_path, cfg,
+                                                          named):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(["sweep", str(cfg_path)])
+    assert code == 1 and err.startswith("error:") and named in err
+
+
+def test_sweep_sections_take_every_option_key():
+    """The section check accepts every key a sweep cell reads."""
+    cfg = {method: {key: None for key in keys}
+           for method, keys in cli.SWEEP_OPTION_KEYS.items()}
+    cli._check_sections(cfg)
+    assert set(cli.SWEEP_OPTION_KEYS) == set(cli.METHODS)
+    with pytest.raises(dk.UsageError, match="allow_bipartite"):
+        cli._check_sections({"exact": {"allow_bipartite": True}})
+
+
 def test_missing_graph_files_exit_1(tmp_path):
     missing = str(tmp_path / "nofile.tsv")
     code, _, err = run_cli(["compute", missing, "exact"])

@@ -39,6 +39,16 @@ def test_load_malformed_line_reports_number():
     assert exc.value.line_no == 2
 
 
+def test_load_rejects_node_ids_past_int64_with_their_line():
+    g = dk.load_edge_list(io.StringIO(f"0 1\n1 {2 ** 63 - 1}\n"))
+    assert g.node_labels[-1] == 2 ** 63 - 1
+    with pytest.raises(dk.ParseError) as exc:
+        dk.load_edge_list(io.StringIO(f"0 1\n1 {2 ** 63}\n"))
+    assert exc.value.line_no == 2
+    with pytest.raises(dk.DomainError, match="out of range"):
+        dk.WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2 ** 63, 1.0)])
+
+
 def test_load_rejects_duplicate_edges():
     with pytest.raises(dk.DuplicateEdgeError):
         dk.load_edge_list(io.StringIO("0 1\n1 2\n1 0\n"))

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import disagree_kit as dk
 from disagree_kit import sparsify
-from disagree_kit.sparsify import (SPLIT_MIN_ENTRIES, _sketched_rows,
-                                   jl_dimension, sketch_row_signs,
+from disagree_kit.sparsify import (CG_BLOCK_BYTES, _sketched_rows,
+                                   cg_blocks, jl_dimension, sketch_row_signs,
                                    solver_tolerance)
 from helpers import random_connected_graph, triangle
 
@@ -162,16 +162,19 @@ def _count_blocks(monkeypatch):
 def test_laplacian_solve_energy_norm_contract_split_block(monkeypatch):
     blocks = _count_blocks(monkeypatch)
     monkeypatch.setenv("DISAGREE_THREADS", "2")
-    k = 2 * SPLIT_MIN_ENTRIES // 30 + 1  # 30 x k entries: two blocks
-    _check_energy_norm_contract(k)
-    assert len(blocks) == 2 * 3  # two blocks at each of three tolerances
+    width = CG_BLOCK_BYTES // (8 * 30)
+    _check_energy_norm_contract(4 * width + 1)  # two threads, two blocks each
+    assert len(blocks) == 4 * 3  # four blocks at each of three tolerances
+    assert sorted(set(blocks)) == [width, width + 1]
 
 
 def _gsw_sketch_block(n=400, eps=0.5):
     g = dk.generate(dk.GeneratorSpec("gsw", {"n": n, "p": 0.5}, 0))
     lap = dk.sparsify_two_step(g, eps, seed=0)
     q = _sketched_rows(lap, jl_dimension(n, eps), 0)
-    assert q.size >= 2 * SPLIT_MIN_ENTRIES  # large enough to split in two
+    # 576 columns of width 163: three blocks on one thread, one on each of two
+    assert cg_blocks(n, q.shape[1], 1) == [[(0, 192), (192, 384), (384, 576)]]
+    assert cg_blocks(n, q.shape[1], 2) == [[(0, 288)], [(288, 576)]]
     return lap, q, solver_tolerance(lap, eps)
 
 
@@ -180,13 +183,26 @@ def test_laplacian_solve_split_is_bit_identical(monkeypatch):
     blocks = _count_blocks(monkeypatch)
     monkeypatch.setenv("DISAGREE_THREADS", "1")
     x1, it1 = dk.laplacian_solve(lap, q, kappa)
-    assert blocks == [q.shape[1]]
+    assert blocks == [192, 192, 192]
     monkeypatch.setenv("DISAGREE_THREADS", "2")
     x2, it2 = dk.laplacian_solve(lap, q, kappa)
-    half = q.shape[1] // 2
-    assert sorted(blocks[1:]) == [half, q.shape[1] - half]
+    assert blocks[3:] == [288, 288]
     assert np.array_equal(x1, x2)
     assert it1 == it2
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_laplacian_solve_equals_one_cg_block_on_all_columns(monkeypatch,
+                                                            threads):
+    lap, q, kappa = _gsw_sketch_block()
+    max_iters = max(200, 40 * lap.n)
+    direct, direct_it = sparsify._cg_block(
+        lap.matrix, 1.0 / lap.degrees, lap.lambda_min_positive, kappa,
+        max_iters, q, np.linalg.norm(q, axis=0))
+    monkeypatch.setenv("DISAGREE_THREADS", threads)
+    x, it = dk.laplacian_solve(lap, q, kappa)
+    assert np.array_equal(x, direct)
+    assert it == direct_it
 
 
 def test_laplacian_solve_split_block_iteration_cap(monkeypatch):
@@ -197,6 +213,19 @@ def test_laplacian_solve_split_block_iteration_cap(monkeypatch):
         dk.laplacian_solve(lap, q, kappa, max_iters=1)
     assert len(blocks) == 2
     assert exc.value.residual is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 10 ** 6), k=st.integers(1, 5_000),
+       threads=st.integers(1, 8))
+def test_cg_blocks_partition_the_columns_in_order(n, k, threads):
+    ranges = cg_blocks(n, k, threads)
+    assert 1 <= len(ranges) <= threads
+    assert all(ranges)
+    flat = [block for blocks in ranges for block in blocks]
+    assert flat[0][0] == 0 and flat[-1][1] == k
+    assert all(a[1] == b[0] for a, b in zip(flat, flat[1:]))
+    assert all(hi - lo >= (1 if k == 1 else 2) for lo, hi in flat)
 
 
 def test_laplacian_solve_iteration_cap():
