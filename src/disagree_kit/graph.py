@@ -90,8 +90,9 @@ class WeightedGraph:
             raise DomainError("graph needs at least one node")
         try:
             e = np.fromiter(map(tuple, edges), dtype=_EDGE_DTYPE)
-        except OverflowError:  # an id past int64 is out of range for any n
-            raise DomainError(f"an edge is out of range for n={n}") from None
+        except OverflowError:  # an id past int64 or a weight past float64
+            raise DomainError(_first_bad_edge(n, edges, allow_self_loops)
+                              ) from None
         u, v, w = e["u"], e["v"], e["w"]
         out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
         bad_weight = ~(np.isfinite(w) & (w > 0.0))
@@ -161,6 +162,26 @@ class WeightedGraph:
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.m})"
+
+
+def _first_bad_edge(n: int, edges, allow_self_loops: bool) -> str:
+    """What ``from_edges`` reports when a triple overflows ``_EDGE_DTYPE``:
+    the first bad edge in input order, by its checks run one edge at a
+    time on Python numbers. A one-shot iterator is spent by then, and the
+    message names no edge."""
+    for u, v, w in edges:
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) out of range for n={n}"
+        try:
+            w = float(w)
+        except OverflowError:
+            return f"edge ({u}, {v}) has a weight too large for a float"
+        if not (np.isfinite(w) and w > 0.0):
+            return f"edge ({u}, {v}) has nonpositive weight {w}"
+        if u == v and not allow_self_loops:
+            return f"self-loop at node {u} is not allowed here"
+    return f"an edge's node id or weight overflows (n={n})"
 
 
 @dataclass(frozen=True)

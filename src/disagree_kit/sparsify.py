@@ -16,7 +16,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -173,11 +172,11 @@ def laplacian_solve(lap: SparsifiedLaplacian, y: np.ndarray, kappa: float, *,
     being a monotone lower bound on ||pinv(L) y||_L^2. Accepts a single
     vector or a column-stacked batch; returns (x, iterations).
 
-    A batch of k columns is solved in blocks of about width =
-    max(2, CG_BLOCK_BYTES // (8 n)) columns (``cg_blocks``). The k columns
-    are split into w = min(worker_count(), max(1, k // width)) contiguous
-    ranges, one per thread (the calling thread takes the first), and a
-    range of l columns into max(1, l // width) consecutive blocks, each
+    A batch of k columns is laid out by ``cg_blocks``. With width =
+    CG_BLOCK_BYTES // (8 n), the k columns are split into w =
+    min(worker_count(), max(1, k // max(2, width))) contiguous ranges,
+    one per thread (the calling thread takes the first), and a range of
+    l columns into max(1, l // max(16, width)) consecutive blocks, each
     solved to its own stop. Step sizes, stopping test and re-projection
     are per column, so the layout leaves x bit-identical, and the
     iteration count, the maximum over blocks, is that of one solve on all
@@ -207,7 +206,7 @@ def laplacian_solve(lap: SparsifiedLaplacian, y: np.ndarray, kappa: float, *,
     ranges = cg_blocks(n, k, worker_count())
     with ThreadPoolExecutor(max_workers=max(1, len(ranges) - 1)) as pool:
         rest = pool.map(solve, ranges[1:])
-        xs, iters = zip(*solve(ranges[0]), *chain.from_iterable(rest))
+        xs, iters = zip(*sum(rest, solve(ranges[0])))
     # one block is returned as solved: a copy would double its memory
     x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
     return (x[:, 0] if single else x), max(iters)
@@ -215,12 +214,16 @@ def laplacian_solve(lap: SparsifiedLaplacian, y: np.ndarray, kappa: float, *,
 
 def cg_blocks(n: int, k: int, threads: int) -> list[list[tuple[int, int]]]:
     """The column layout of ``laplacian_solve``: per thread, the
-    consecutive (lo, hi) blocks it solves. Blocks keep at least two
+    consecutive (lo, hi) blocks it solves. Ranges keep at least two
     columns (unless k = 1): numpy reduces a single column in another
-    summation order, which would change the last bits of x."""
-    width = max(2, CG_BLOCK_BYTES // (8 * n))
-    ranges = _split(0, k, min(threads, max(1, k // width)))
-    return [_split(lo, hi, max(1, (hi - lo) // width)) for lo, hi in ranges]
+    summation order, which would change the last bits of x. Blocks keep
+    at least 16, cache-sized or not: at n = 2^15 and 10^5 a 2-column
+    block cost twice as much per column-iteration as a 16-column one,
+    whose cost was that of the whole range."""
+    width = CG_BLOCK_BYTES // (8 * n)
+    ranges = _split(0, k, min(threads, max(1, k // max(2, width))))
+    return [_split(lo, hi, max(1, (hi - lo) // max(16, width)))
+            for lo, hi in ranges]
 
 
 def _split(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:

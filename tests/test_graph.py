@@ -49,6 +49,28 @@ def test_load_rejects_node_ids_past_int64_with_their_line():
         dk.WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2 ** 63, 1.0)])
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1, 1.0), (1, 2 ** 63, 1.0)],
+     f"edge (1, {2 ** 63}) out of range for n=3"),
+    ([(0, 1, 1.0), (-2 ** 63 - 1, 2, 1.0)],
+     f"edge ({-2 ** 63 - 1}, 2) out of range for n=3"),
+    ([(0, 1, 1.0), (1, 2, 10 ** 400)],
+     "edge (1, 2) has a weight too large for a float"),
+    # the first bad edge in input order, not the one that overflowed
+    ([(0, 1, -1.0), (1, 2 ** 63, 1.0)],
+     "edge (0, 1) has nonpositive weight -1.0"),
+    ([(1, 1, 1.0), (1, 2, 10 ** 400)],
+     "self-loop at node 1 is not allowed here"),
+    # a spent iterator names no edge
+    (iter([(0, 1, 1.0), (1, 2 ** 63, 1.0)]),
+     "an edge's node id or weight overflows (n=3)"),
+])
+def test_from_edges_names_the_edge_past_int64_or_float64(edges, message):
+    with pytest.raises(dk.DomainError) as exc:
+        dk.WeightedGraph.from_edges(3, edges)
+    assert str(exc.value) == message
+
+
 def test_load_rejects_duplicate_edges():
     with pytest.raises(dk.DuplicateEdgeError):
         dk.load_edge_list(io.StringIO("0 1\n1 2\n1 0\n"))

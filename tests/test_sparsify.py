@@ -226,6 +226,20 @@ def test_cg_blocks_partition_the_columns_in_order(n, k, threads):
     assert flat[0][0] == 0 and flat[-1][1] == k
     assert all(a[1] == b[0] for a, b in zip(flat, flat[1:]))
     assert all(hi - lo >= (1 if k == 1 else 2) for lo, hi in flat)
+    # a block is narrower than 16 columns only as the whole of its range
+    assert all(hi - lo >= 16 or len(blocks) == 1
+               for blocks in ranges for lo, hi in blocks)
+
+
+def test_cg_blocks_keep_16_columns_where_a_cache_sized_block_is_narrower():
+    # n = 2^15: a 512 KiB block would be 2 columns wide
+    assert cg_blocks(2 ** 15, 64, 2) == [[(0, 16), (16, 32)],
+                                        [(32, 48), (48, 64)]]
+    # the thread split still goes down to two columns a range
+    assert cg_blocks(10 ** 5, 20, 2) == [[(0, 10)], [(10, 20)]]
+    # n = 2^12: cache-sized blocks are 16 columns wide
+    assert cg_blocks(2 ** 12, 64, 1) == [[(0, 16), (16, 32), (32, 48),
+                                         (48, 64)]]
 
 
 def test_laplacian_solve_iteration_cap():
