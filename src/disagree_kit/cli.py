@@ -347,9 +347,25 @@ def _config_list(cfg: dict, key: str, default: list) -> list:
     return value
 
 
+def _flag_types() -> dict:
+    """``compute`` flag dest -> its value type; a switch's is bool."""
+    p = argparse.ArgumentParser(add_help=False)
+    _add_method_flags(p)
+    return {a.dest: a.type or bool for a in p._actions}
+
+
+#: the JSON values a sweep option of each flag type takes (bool is an int
+#: subclass, so types are matched exactly) and how an error names them
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               bool: ((bool,), "true or false")}
+
+
 def _check_sections(cfg: dict) -> None:
-    """Each method section must be an object of that method's option keys:
-    a misspelt key would otherwise be ignored silently."""
+    """Each method section must be an object of that method's option keys,
+    each value of its ``compute`` flag's type or null (not given): a
+    misspelt key would otherwise be ignored silently, a mistyped value
+    fail deep inside an estimator."""
+    flag_types = _flag_types()
     for method, keys in SWEEP_OPTION_KEYS.items():
         section = cfg.get(method, {})
         if not isinstance(section, dict):
@@ -359,6 +375,11 @@ def _check_sections(cfg: dict) -> None:
         if unknown:
             raise UsageError(f"sweep config {method!r} has unknown keys "
                              f"{unknown}; it takes {list(keys)}")
+        for key, value in section.items():
+            types, name = _JSON_TYPES[flag_types[_FLAG_OF.get(key, key)]]
+            if value is not None and type(value) not in types:
+                raise UsageError(f"sweep config {method!r} option {key!r} "
+                                 f"must be {name}, got {value!r}")
 
 
 def _sweep_graphs(cfg: dict, base: Path) -> list[tuple[str, WeightedGraph]]:

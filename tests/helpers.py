@@ -5,6 +5,9 @@ hitting times come from linear solves, return probabilities from matrix
 powers, components from set expansion, bipartiteness from odd closed
 walks. The two simulator oracles are the plain loops the batched
 simulators must reproduce bit for bit: one target, one step at a time.
+The two dense-assembly oracles build S and M = I - S^2 + psi psi^T as
+whole arrays, the per-entry arithmetic the row-block builders must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -12,10 +15,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from disagree_kit import WeightedGraph, validate
 from disagree_kit.rng import TAG_NOISE, TAG_WALKS, derive_rng
 from disagree_kit.sampler import estimate_gap_bound
+from disagree_kit.spectral import normalized_adjacency
 from disagree_kit.walks import NeighborSampler
 
 
@@ -100,6 +105,29 @@ def bipartite_oracle(g) -> bool:
             return False
         power = np.minimum(power @ a2, 1)
     return True
+
+
+def normalized_adjacency_dense_oracle(g) -> np.ndarray:
+    """S = D^{-1/2} A D^{-1/2}: the whole dense A times the whole outer
+    product of D^{-1/2}."""
+    inv_sqrt_d = 1.0 / np.sqrt(g.degrees)
+    return g.adjacency_dense() * np.outer(inv_sqrt_d, inv_sqrt_d)
+
+
+def m_inverse_diagonal_oracle(g) -> np.ndarray:
+    """diag(M^-1) with M = I - S^2 + psi psi^T assembled whole: the dense
+    S^2 negated, 1 added on its diagonal, then the whole outer product;
+    factored by the LAPACK calls of ``spectral``."""
+    s_mat = normalized_adjacency(g)
+    m_mat = -(s_mat @ s_mat).toarray()
+    m_mat[np.diag_indices(g.n)] += 1.0
+    psi = np.sqrt(g.stationary())
+    m_mat += np.outer(psi, psi)
+    chol, info = dpotrf(m_mat.T, lower=1, clean=1, overwrite_a=1)
+    assert info == 0
+    inv_chol, info = dtrtri(chol, lower=1, overwrite_c=1)
+    assert info == 0
+    return np.einsum("ij,ij->j", inv_chol, inv_chol)
 
 
 def triangle():

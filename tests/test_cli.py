@@ -313,6 +313,43 @@ def test_sweep_sections_take_every_option_key():
         cli._check_sections({"exact": {"allow_bipartite": True}})
 
 
+#: option key -> the value type of its ``compute`` flag
+_OPTION_TYPES = {
+    "ell": int, "walks": int, "node_budget": int, "max_cg_iters": int,
+    "burn_in": int, "horizon": int, "truncation_cap": int,
+    "walks_per_target": int, "lambda_bound": float, "oversample": float,
+    "kappa": float, "reuse_walks": bool, "allow_bipartite": bool,
+}
+#: per type, JSON values of another type
+_WRONG_VALUES = {int: ["x", 1.5, True], float: ["x", True],
+                 bool: [1, "yes"]}
+
+
+def test_sweep_option_types_come_from_the_compute_flags():
+    flags = cli._flag_types()
+    assert {key: flags[cli._FLAG_OF.get(key, key)]
+            for keys in cli.OPTION_KEYS.values()
+            for key in keys} == _OPTION_TYPES
+    # an integer is a number too
+    cli._check_sections({"sample": {"lambda_bound": 1},
+                         "approx": {"oversample": 2, "kappa": 3}})
+
+
+@pytest.mark.parametrize("method, key, value", [
+    (method, key, value)
+    for method, keys in cli.SWEEP_OPTION_KEYS.items() for key in keys
+    for value in _WRONG_VALUES[_OPTION_TYPES[key]]])
+def test_sweep_option_values_of_the_wrong_type_are_usage_errors(
+        tmp_path, method, key, value):
+    cfg = {"methods": [method], "graphs": [{"family": "psfw", "g": 2}],
+           method: {key: value}}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(["sweep", str(cfg_path)])
+    assert code == 1 and err.startswith("error:")
+    assert f"{method!r} option {key!r}" in err and "Traceback" not in err
+
+
 def test_missing_graph_files_exit_1(tmp_path):
     missing = str(tmp_path / "nofile.tsv")
     code, _, err = run_cli(["compute", missing, "exact"])
