@@ -177,7 +177,8 @@ def _sample_record_params(est, options: dict) -> dict:
 
 
 def _pick(options: dict, *keys: str) -> dict:
-    return {k: options[k] for k in keys if k in options}
+    """The given ``keys`` of ``options``; a null value is not given."""
+    return {k: options[k] for k in keys if options.get(k) is not None}
 
 
 def _mc_config(options: dict, seed: int) -> dynamics.MCConfig:

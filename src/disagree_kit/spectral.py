@@ -146,7 +146,8 @@ def normalized_adjacency_dense(g: WeightedGraph) -> np.ndarray:
 def _eigh(a: np.ndarray, eigvals_only: bool = False):
     """``dsyevd`` on the symmetric ``a``, in place. numpy's ``eigvalsh``
     and ``eigh`` run the same driver on the lower triangle of a copy of
-    ``a``; this reads the lower triangle of ``a.T``, the same numbers."""
+    ``a``; this reads the lower triangle of ``a.T``, the same numbers
+    when ``a`` is exactly symmetric, as the dense S is."""
     from scipy.linalg import eigh
     return eigh(a.T, lower=True, eigvals_only=eigvals_only, driver="evd",
                 overwrite_a=True, check_finite=False)

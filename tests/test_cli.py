@@ -350,6 +350,27 @@ def test_sweep_option_values_of_the_wrong_type_are_usage_errors(
     assert f"{method!r} option {key!r}" in err and "Traceback" not in err
 
 
+def test_sweep_null_options_run_as_not_given(tmp_path):
+    base = {"methods": ["sample", "approx", "mc"], "trials": 1,
+            "epsilons": [0.5], "graphs": [{"family": "psfw", "g": 2}],
+            "sample": {"lambda_bound": 0.9, "ell": 3, "walks": 50},
+            "mc": {"walks_per_target": 20, "truncation_cap": 500}}
+    nulls = {**base,
+             "sample": {**base["sample"], "node_budget": None,
+                        "reuse_walks": None},
+             "approx": {key: None for key in cli.OPTION_KEYS["approx"]},
+             "mc": {**base["mc"], "burn_in": None, "horizon": None}}
+    values = []
+    for cfg in (base, nulls):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, stdout, err = run_cli(["sweep", str(cfg_path), "--output",
+                                     "json"])
+        assert code == 0, err
+        values.append([row["value"] for row in json.loads(stdout)])
+    assert values[0] == values[1]
+
+
 def test_missing_graph_files_exit_1(tmp_path):
     missing = str(tmp_path / "nofile.tsv")
     code, _, err = run_cli(["compute", missing, "exact"])
