@@ -177,8 +177,7 @@ def _sample_record_params(est, options: dict) -> dict:
 
 
 def _pick(options: dict, *keys: str) -> dict:
-    """The given ``keys`` of ``options``; a null value is not given."""
-    return {k: options[k] for k in keys if options.get(k) is not None}
+    return {k: options[k] for k in keys if k in options}
 
 
 def _mc_config(options: dict, seed: int) -> dynamics.MCConfig:
@@ -430,6 +429,9 @@ def run_sweep(cfg: dict, base: Path) -> list[dict]:
         if not isinstance(method, str) or method not in METHODS:
             raise UsageError(f"unknown sweep method {method!r}")
     _check_sections(cfg)
+    # a null option is not given: every estimator sees the key absent
+    cfg = {**cfg, **{m: {k: v for k, v in cfg[m].items() if v is not None}
+                     for m in SWEEP_OPTION_KEYS if m in cfg}}
     epsilons = _config_list(cfg, "epsilons", list(EPSILON_GRID))
     for eps in epsilons:
         if type(eps) not in (int, float):  # bool is no epsilon either

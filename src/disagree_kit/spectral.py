@@ -16,11 +16,12 @@ computed on the first read of a summary's ``eigenvalues`` or
 ``gap_bound``, and the eigenvectors by a full ``eigh`` on the first read
 of ``eigenvectors``.
 
-Memory: M and the dense S are each built by row blocks into one n x n
-float64 buffer that LAPACK factors or eigensolves (``dsyevd``, as numpy's
-``eigvalsh`` and ``eigh`` do) in place, so a route holds 8n^2 bytes:
-32 MiB at n = 2048, 3.2 GB at ``DENSE_NODE_CAP`` (computed, not run).
-The ``eigh`` route adds ``dsyevd``'s workspace of about 2n^2 floats.
+Memory: M is built by row blocks into one n x n float64 buffer that
+LAPACK factors and inverts in place, so ``decompose`` holds 8n^2 bytes
+for it: 32 MiB at n = 2048, 3.2 GB at ``DENSE_NODE_CAP`` (computed, not
+run). The eigenvalue and eigenvector routes are not built this way: on
+gsw n = 2048 the ``eigvalsh`` route peaked about two n x n arrays above
+the interpreter's base and the ``eigh`` route about five.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ _NEAR_UNIT = 1e-12
 _TRACE_GATE = 1e8
 #: ``decompose`` requires the leading eigenvalue within this of 1.
 _LAMBDA1_TOL = 1e-8
-#: the dense builders of S and M fill their n x n buffer in row blocks
-#: of about this many bytes (512 KiB)
+#: ``_m_inverse_diagonal`` fills its n x n buffer in row blocks of about
+#: this many bytes (512 KiB)
 _BLOCK_BYTES = 1 << 19
 
 
@@ -110,7 +111,7 @@ class SpectralSummary:
         if self._eigenvectors is None:
             # eigh orders its eigenvalues ascending; reversed, its vectors
             # pair by rank with the descending stored eigenvalues
-            vecs = _eigh(normalized_adjacency_dense(self._graph))[1]
+            vecs = np.linalg.eigh(normalized_adjacency_dense(self._graph))[1]
             self._eigenvectors = vecs[:, ::-1]
         return self._eigenvectors
 
@@ -121,41 +122,14 @@ def normalized_adjacency(g: WeightedGraph) -> sp.csr_matrix:
     return inv_sqrt_d @ g.adjacency_csr() @ inv_sqrt_d
 
 
-def _by_row_blocks(n: int, fill) -> np.ndarray:
-    """One n x n float64 buffer, filled by ``fill(lo, hi, out)`` writing
-    rows lo:hi into their view ``out``, about ``_BLOCK_BYTES`` at a time."""
-    out = np.empty((n, n))
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    for lo in range(0, n, rows):
-        fill(lo, min(lo + rows, n), out[lo:lo + rows])
-    return out
-
-
 def normalized_adjacency_dense(g: WeightedGraph) -> np.ndarray:
-    """S as one dense n x n array, built by row blocks."""
-    a = g.adjacency_csr()
     inv_sqrt_d = 1.0 / np.sqrt(g.degrees)
-
-    def fill(lo, hi, out):
-        np.multiply(a[lo:hi].toarray(),
-                    np.outer(inv_sqrt_d[lo:hi], inv_sqrt_d), out=out)
-
-    return _by_row_blocks(g.n, fill)
-
-
-def _eigh(a: np.ndarray, eigvals_only: bool = False):
-    """``dsyevd`` on the symmetric ``a``, in place. numpy's ``eigvalsh``
-    and ``eigh`` run the same driver on the lower triangle of a copy of
-    ``a``; this reads the lower triangle of ``a.T``, the same numbers
-    when ``a`` is exactly symmetric, as the dense S is."""
-    from scipy.linalg import eigh
-    return eigh(a.T, lower=True, eigvals_only=eigvals_only, driver="evd",
-                overwrite_a=True, check_finite=False)
+    return g.adjacency_dense() * np.outer(inv_sqrt_d, inv_sqrt_d)
 
 
 def _eigenvalues(g: WeightedGraph) -> np.ndarray:
-    """Eigenvalues of S, descending, from a dense ``dsyevd``."""
-    return _eigh(normalized_adjacency_dense(g), eigvals_only=True)[::-1]
+    """Eigenvalues of S, descending, from a dense ``eigvalsh``."""
+    return np.linalg.eigvalsh(normalized_adjacency_dense(g))[::-1]
 
 
 def decompose(g: WeightedGraph, *,
@@ -293,14 +267,18 @@ def _m_inverse_diagonal(g: WeightedGraph) -> np.ndarray:
     from scipy.linalg.lapack import dpotrf, dtrtri
     s_mat = normalized_adjacency(g)
     psi = np.sqrt(g.stationary())
-
-    def fill(lo, hi, out):
-        (s_mat[lo:hi] @ s_mat).toarray(out=out)
-        np.negative(out, out=out)
-        out[np.arange(hi - lo), np.arange(lo, hi)] += 1.0
-        out += np.outer(psi[lo:hi], psi)
-
-    m_mat = _by_row_blocks(g.n, fill)
+    # one n x n buffer, filled a row block at a time: the sparse S^2 and
+    # the outer product are never whole
+    n = g.n
+    m_mat = np.empty((n, n))
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = m_mat[lo:hi]
+        (s_mat[lo:hi] @ s_mat).toarray(out=block)
+        np.negative(block, out=block)
+        block[np.arange(hi - lo), np.arange(lo, hi)] += 1.0
+        block += np.outer(psi[lo:hi], psi)
     # M is symmetric: its transpose is M in the Fortran order that LAPACK
     # factors in place, without a copy
     chol, info = dpotrf(m_mat.T, lower=1, clean=1, overwrite_a=1)

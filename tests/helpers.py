@@ -5,9 +5,8 @@ hitting times come from linear solves, return probabilities from matrix
 powers, components from set expansion, bipartiteness from odd closed
 walks. The two simulator oracles are the plain loops the batched
 simulators must reproduce bit for bit: one target, one step at a time.
-The two dense-assembly oracles build S and M = I - S^2 + psi psi^T as
-whole arrays, the per-entry arithmetic the row-block builders must
-reproduce bit for bit.
+The M oracle assembles M = I - S^2 + psi psi^T as whole arrays, the
+per-entry arithmetic the row-block builder must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -105,13 +104,6 @@ def bipartite_oracle(g) -> bool:
             return False
         power = np.minimum(power @ a2, 1)
     return True
-
-
-def normalized_adjacency_dense_oracle(g) -> np.ndarray:
-    """S = D^{-1/2} A D^{-1/2}: the whole dense A times the whole outer
-    product of D^{-1/2}."""
-    inv_sqrt_d = 1.0 / np.sqrt(g.degrees)
-    return g.adjacency_dense() * np.outer(inv_sqrt_d, inv_sqrt_d)
 
 
 def m_inverse_diagonal_oracle(g) -> np.ndarray:
