@@ -235,8 +235,14 @@ def _split(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
 def _cg_block(mat: sp.csr_matrix, inv_diag: np.ndarray, lam_min: float,
               kappa: float, max_iters: int, b: np.ndarray, scale: np.ndarray
               ) -> tuple[np.ndarray, int]:
-    """The block CG loop of ``laplacian_solve`` on the columns of ``b``."""
-    k = b.shape[1]
+    """The block CG loop of ``laplacian_solve`` on the columns of ``b``.
+
+    The stop test passes only if ||r||^2 <= kappa^2 lambda_min lower, and
+    lower <= b.pinv(L).b <= ||b||^2 / lambda_min while
+    ||r||^2 >= d_min r.D^-1.r. So a column whose r.D^-1.r exceeds
+    kappa^2 ||b||^2 / d_min cannot pass, and while no column left is
+    within twice that (a margin for roundoff) the test is skipped: the
+    iterates are those of a loop that runs it on every iteration."""
     x = np.zeros_like(b)
     lx = np.zeros_like(b)
     r = b.copy()
@@ -244,7 +250,7 @@ def _cg_block(mat: sp.csr_matrix, inv_diag: np.ndarray, lam_min: float,
     p = z.copy()
     rz = np.einsum("ij,ij->j", r, z)
     done = scale == 0.0
-    thresh_sq = np.full(k, np.inf)
+    testable = 2.0 * kappa * kappa * scale * scale * inv_diag.max()
     it = 0
     while not done.all():
         if it >= max_iters:
@@ -263,14 +269,15 @@ def _cg_block(mat: sp.csr_matrix, inv_diag: np.ndarray, lam_min: float,
         r -= z
         # re-project: keeps roundoff from drifting out of the ones-complement
         r -= r.mean(axis=0, keepdims=True)
-        lower = 2.0 * np.einsum("ij,ij->j", b, x) - np.einsum(
-            "ij,ij->j", x, lx)
-        np.maximum(lower, 0.0, out=lower)
-        thresh_sq = kappa * kappa * lam_min * lower
-        res_sq = np.einsum("ij,ij->j", r, r)
-        done = done | (res_sq <= thresh_sq)
         np.multiply(inv_diag[:, None], r, out=z)
         rz_new = np.einsum("ij,ij->j", r, z)
+        if np.any(~done & (rz_new <= testable)):
+            lower = 2.0 * np.einsum("ij,ij->j", b, x) - np.einsum(
+                "ij,ij->j", x, lx)
+            np.maximum(lower, 0.0, out=lower)
+            thresh_sq = kappa * kappa * lam_min * lower
+            res_sq = np.einsum("ij,ij->j", r, r)
+            done = done | (res_sq <= thresh_sq)
         beta = np.where(rz == 0.0, 0.0, rz_new / np.where(rz == 0, 1, rz))
         p *= beta  # then p + z, which equals z + beta p bit for bit
         p += z
@@ -338,14 +345,17 @@ def approx_disagreement(g: WeightedGraph, epsilon: float, seed: int = 0, *,
     pi = g.stationary()
     k = jl_dimension(g.n, epsilon)
     kappa_used = solver_tolerance(lap, epsilon) if kappa is None else kappa
-    q = _sketched_rows(lap, k, seed)
-    x, iters = laplacian_solve(lap, q, kappa_used, max_iters=max_cg_iters)
-    z = x.T
-    p = z @ pi
-    diffs = z - p[:, None]
+    # the sketch is freed once solved, and the solution is reduced in
+    # place: no further n x k array is made
+    x, iters = laplacian_solve(lap, _sketched_rows(lap, k, seed), kappa_used,
+                               max_iters=max_cg_iters)
+    diffs = x.T
+    diffs -= (diffs @ pi)[:, None]
     c = np.einsum("ij,ij->j", diffs, diffs)
     value = float(g.d_sum * np.sum(pi * pi * c))
-    per_row = k * g.d_sum * (diffs * diffs) @ (pi * pi)
+    diffs *= diffs
+    diffs *= k * g.d_sum
+    per_row = diffs @ (pi * pi)
     return DisagreementEstimate(
         method="approx", value=value,
         params={"epsilon": epsilon, "seed": seed, "oversample": oversample},

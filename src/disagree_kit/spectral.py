@@ -16,12 +16,14 @@ computed on the first read of a summary's ``eigenvalues`` or
 ``gap_bound``, and the eigenvectors by a full ``eigh`` on the first read
 of ``eigenvectors``.
 
-Memory: M is built by row blocks into one n x n float64 buffer that
-LAPACK factors and inverts in place, so ``decompose`` holds 8n^2 bytes
-for it: 32 MiB at n = 2048, 3.2 GB at ``DENSE_NODE_CAP`` (computed, not
-run). The eigenvalue and eigenvector routes are not built this way: on
-gsw n = 2048 the ``eigvalsh`` route peaked about two n x n arrays above
-the interpreter's base and the ``eigh`` route about five.
+Memory: M is built by row blocks into LAPACK's rectangular full packed
+storage, n(n + 1)/2 float64 numbers, which ``dpftrf`` factors and
+``dpftri`` inverts in place, so ``decompose`` holds 4n(n + 1) bytes for
+it: 16 MiB at n = 2048, 1.6 GB at ``DENSE_NODE_CAP`` (computed, not
+run). ``dpftri`` forms the whole inverse, where the diagonal alone
+would do. The eigenvalue and eigenvector routes are not built this way:
+on gsw n = 2048 the ``eigvalsh`` route peaked about two n x n arrays
+above the interpreter's base and the ``eigh`` route about five.
 """
 
 from __future__ import annotations
@@ -49,8 +51,7 @@ _NEAR_UNIT = 1e-12
 _TRACE_GATE = 1e8
 #: ``decompose`` requires the leading eigenvalue within this of 1.
 _LAMBDA1_TOL = 1e-8
-#: ``_m_inverse_diagonal`` fills its n x n buffer in row blocks of about
-#: this many bytes (512 KiB)
+#: ``_m_packed`` builds M in row blocks of about this many bytes (512 KiB)
 _BLOCK_BYTES = 1 << 19
 
 
@@ -117,9 +118,14 @@ class SpectralSummary:
 
 
 def normalized_adjacency(g: WeightedGraph) -> sp.csr_matrix:
-    """S = D^{-1/2} A D^{-1/2} as a sparse matrix."""
-    inv_sqrt_d = sp.diags(1.0 / np.sqrt(g.degrees))
-    return inv_sqrt_d @ g.adjacency_csr() @ inv_sqrt_d
+    """S = D^{-1/2} A D^{-1/2} as a sparse matrix, symmetric bit for bit:
+    entry (i, j) is a_ij (d_i^{-1/2} d_j^{-1/2}), whose rounding does not
+    depend on the order of i and j."""
+    inv_sqrt_d = 1.0 / np.sqrt(g.degrees)
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    return sp.csr_matrix(
+        (g.weights * (inv_sqrt_d[rows] * inv_sqrt_d[g.indices]), g.indices,
+         g.indptr), shape=(g.n, g.n))
 
 
 def normalized_adjacency_dense(g: WeightedGraph) -> np.ndarray:
@@ -253,6 +259,36 @@ def two_step_pinv_diagonal(s: SpectralSummary, *,
     return (psi * psi) @ (1.0 / denom)
 
 
+def _m_packed(g: WeightedGraph) -> np.ndarray:
+    """M = I - S^2 + psi psi^T in LAPACK's rectangular full packed format
+    (TRANSR = 'N', UPLO = 'L'), as a C-order array of k = ceil(n/2) rows
+    and n + 1 - n % 2 columns: row c holds M[k + c - odd, k:k + c + 1 - odd]
+    and then M[c, c:], with odd = n % 2. M is built a row block at a time,
+    the sparse S^2 and the outer product are never whole, and since S is
+    symmetric bit for bit so is M: the packed lower triangle equals the
+    upper one."""
+    s_mat = normalized_adjacency(g)
+    psi = np.sqrt(g.stationary())
+    n = g.n
+    k, odd = (n + 1) // 2, n % 2
+    packed = np.empty((k, n + 1 - odd))
+    rows = min(n, max(1, _BLOCK_BYTES // (8 * n)))
+    buffer = np.empty((rows, n))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = buffer[:hi - lo]
+        (s_mat[lo:hi] @ s_mat).toarray(out=block)
+        np.negative(block, out=block)
+        block[np.arange(hi - lo), np.arange(lo, hi)] += 1.0
+        block += np.outer(psi[lo:hi], psi)
+        for i, row in enumerate(block, lo):
+            if i < k:
+                packed[i, i + 1 - odd:] = row[i:]
+            else:
+                packed[i - k + odd, :i - k + 1] = row[k:i + 1]
+    return packed
+
+
 def _m_inverse_diagonal(g: WeightedGraph) -> np.ndarray:
     """Diagonal of M^-1, M = I - S^2 + psi psi^T, from one Cholesky
     factorisation.
@@ -260,38 +296,33 @@ def _m_inverse_diagonal(g: WeightedGraph) -> np.ndarray:
     On a connected non-bipartite graph psi = sqrt(pi) spans the kernel
     of I - S^2, so M is positive definite and
     M^-1 = pinv(I - S^2) + psi psi^T: the pseudoinverse diagonal is
-    diag(M^-1) - pi. With M = L L^T the diagonal of M^-1 is the squared
-    column norms of L^-1. A failed factorisation raises ``DomainError``.
+    diag(M^-1) - pi. M is factored (``dpftrf``) and inverted (``dpftri``)
+    in place in the packed array of ``_m_packed``, which holds n(n + 1)/2
+    numbers where a full matrix holds n^2. A failed factorisation raises
+    ``DomainError``.
     """
     # imported here: scipy.linalg adds ~0.1 s and ~8 MB to every CLI run
-    from scipy.linalg.lapack import dpotrf, dtrtri
-    s_mat = normalized_adjacency(g)
-    psi = np.sqrt(g.stationary())
-    # one n x n buffer, filled a row block at a time: the sparse S^2 and
-    # the outer product are never whole
+    from scipy.linalg.lapack import dpftrf, dpftri
     n = g.n
-    m_mat = np.empty((n, n))
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        block = m_mat[lo:hi]
-        (s_mat[lo:hi] @ s_mat).toarray(out=block)
-        np.negative(block, out=block)
-        block[np.arange(hi - lo), np.arange(lo, hi)] += 1.0
-        block += np.outer(psi[lo:hi], psi)
-    # M is symmetric: its transpose is M in the Fortran order that LAPACK
-    # factors in place, without a copy
-    chol, info = dpotrf(m_mat.T, lower=1, clean=1, overwrite_a=1)
+    packed = _m_packed(g)
+    chol, info = dpftrf(n, packed.reshape(-1), transr="N", uplo="L",
+                        overwrite_a=1)
     if info > 0:
         raise DomainError(
             f"I - S^2 + psi psi^T is not positive definite (its leading "
             f"minor of order {info} is not); the graph is near-bipartite "
             "or its data is inconsistent")
-    inv_chol, info = dtrtri(chol, lower=1, overwrite_c=1)
+    inv, info = dpftri(n, chol, transr="N", uplo="L", overwrite_a=1)
     if info != 0:
-        raise DomainError(f"inverting the Cholesky factor failed "
-                          f"(LAPACK dtrtri info={info})")
-    return np.einsum("ij,ij->j", inv_chol, inv_chol)
+        raise DomainError(f"inverting M from its Cholesky factor failed "
+                          f"(LAPACK dpftri info={info})")
+    # M^-1's diagonal: node c < k at [c, c + 1 - odd], node k + c - odd
+    # at [c, c - odd]
+    inv = inv.reshape(packed.shape)
+    odd = n % 2
+    top = np.arange(len(inv))
+    bottom = top[odd:]
+    return np.concatenate([inv[top, top + 1 - odd], inv[bottom, bottom - odd]])
 
 
 def exact_disagreement(g: WeightedGraph,

@@ -6,7 +6,10 @@ powers, components from set expansion, bipartiteness from odd closed
 walks. The two simulator oracles are the plain loops the batched
 simulators must reproduce bit for bit: one target, one step at a time.
 The M oracle assembles M = I - S^2 + psi psi^T as whole arrays, the
-per-entry arithmetic the row-block builder must reproduce bit for bit.
+per-entry arithmetic the row-block builder must reproduce bit for bit,
+and packs it with LAPACK's own ``dtrttf``. The CG oracle is the block
+loop that runs its stop test on every iteration, whose iterates the
+solver must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dpftrf, dpftri, dtfttr, dtrttf
 
-from disagree_kit import WeightedGraph, validate
+from disagree_kit import ConvergenceError, WeightedGraph, validate
 from disagree_kit.rng import TAG_NOISE, TAG_WALKS, derive_rng
 from disagree_kit.sampler import estimate_gap_bound
 from disagree_kit.spectral import normalized_adjacency
@@ -106,20 +109,74 @@ def bipartite_oracle(g) -> bool:
     return True
 
 
-def m_inverse_diagonal_oracle(g) -> np.ndarray:
-    """diag(M^-1) with M = I - S^2 + psi psi^T assembled whole: the dense
-    S^2 negated, 1 added on its diagonal, then the whole outer product;
-    factored by the LAPACK calls of ``spectral``."""
+def m_matrix_oracle(g) -> np.ndarray:
+    """M = I - S^2 + psi psi^T assembled whole: the dense S^2 negated, 1
+    added on its diagonal, then the whole outer product."""
     s_mat = normalized_adjacency(g)
     m_mat = -(s_mat @ s_mat).toarray()
     m_mat[np.diag_indices(g.n)] += 1.0
     psi = np.sqrt(g.stationary())
     m_mat += np.outer(psi, psi)
-    chol, info = dpotrf(m_mat.T, lower=1, clean=1, overwrite_a=1)
+    return m_mat
+
+
+def m_inverse_diagonal_oracle(g) -> np.ndarray:
+    """diag(M^-1) with M assembled whole, packed by ``dtrttf``, factored
+    and inverted by the LAPACK calls of ``spectral``, and unpacked by
+    ``dtfttr``."""
+    packed, info = dtrttf(m_matrix_oracle(g), transr="N", uplo="L")
     assert info == 0
-    inv_chol, info = dtrtri(chol, lower=1, overwrite_c=1)
+    chol, info = dpftrf(g.n, packed, transr="N", uplo="L")
     assert info == 0
-    return np.einsum("ij,ij->j", inv_chol, inv_chol)
+    inv, info = dpftri(g.n, chol, transr="N", uplo="L")
+    assert info == 0
+    inv, info = dtfttr(g.n, inv, transr="N", uplo="L")
+    assert info == 0
+    return np.diag(inv).copy()
+
+
+def cg_block_oracle(mat, inv_diag, lam_min, kappa, max_iters, b, scale):
+    """``sparsify._cg_block`` with its stop test run on every iteration."""
+    k = b.shape[1]
+    x = np.zeros_like(b)
+    lx = np.zeros_like(b)
+    r = b.copy()
+    z = inv_diag[:, None] * r
+    p = z.copy()
+    rz = np.einsum("ij,ij->j", r, z)
+    done = scale == 0.0
+    thresh_sq = np.full(k, np.inf)
+    it = 0
+    while not done.all():
+        if it >= max_iters:
+            worst = float(np.max(np.linalg.norm(r[:, ~done], axis=0)))
+            raise ConvergenceError(
+                f"projected CG hit the {max_iters}-iteration cap",
+                residual=worst)
+        q = mat @ p
+        pq = np.einsum("ij,ij->j", p, q)
+        alpha = np.where(done | (pq <= 0.0), 0.0, rz / np.where(pq == 0, 1, pq))
+        np.multiply(alpha, p, out=z)
+        x += z
+        np.multiply(alpha, q, out=z)
+        lx += z
+        r -= z
+        r -= r.mean(axis=0, keepdims=True)
+        lower = 2.0 * np.einsum("ij,ij->j", b, x) - np.einsum(
+            "ij,ij->j", x, lx)
+        np.maximum(lower, 0.0, out=lower)
+        thresh_sq = kappa * kappa * lam_min * lower
+        res_sq = np.einsum("ij,ij->j", r, r)
+        done = done | (res_sq <= thresh_sq)
+        np.multiply(inv_diag[:, None], r, out=z)
+        rz_new = np.einsum("ij,ij->j", r, z)
+        beta = np.where(rz == 0.0, 0.0, rz_new / np.where(rz == 0, 1, rz))
+        p *= beta
+        p += z
+        rz = rz_new
+        it += 1
+    x -= x.mean(axis=0, keepdims=True)
+    return x, it
 
 
 def triangle():

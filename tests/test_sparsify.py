@@ -11,7 +11,7 @@ from disagree_kit import sparsify
 from disagree_kit.sparsify import (CG_BLOCK_BYTES, _sketched_rows,
                                    cg_blocks, jl_dimension, sketch_row_signs,
                                    solver_tolerance)
-from helpers import random_connected_graph, triangle
+from helpers import cg_block_oracle, random_connected_graph, triangle
 
 
 def _oversample_for(g, eps, s_target):
@@ -205,6 +205,34 @@ def test_laplacian_solve_equals_one_cg_block_on_all_columns(monkeypatch,
     assert it == direct_it
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 60), p=st.floats(0.15, 0.6),
+       graph_seed=st.integers(0, 10_000), weighted=st.booleans(),
+       k=st.integers(1, 40), width=st.integers(2, 20),
+       kappa=st.sampled_from([0.5, 1e-2, 1e-4, 1e-8]),
+       rhs_seed=st.integers(0, 2 ** 32 - 1), zero_column=st.booleans())
+def test_cg_skipping_the_stop_test_keeps_every_iterate(
+        n, p, graph_seed, weighted, k, width, kappa, rhs_seed, zero_column):
+    g = random_connected_graph(n, p, graph_seed, weighted=weighted)
+    lap = dk.sparsify_two_step(g, 0.5, seed=graph_seed)
+    rng = np.random.default_rng(rhs_seed)
+    # columns of very different sizes stop on different iterations
+    y = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-3, 4, size=k)
+    y -= y.mean(axis=0)
+    if zero_column:
+        y[:, 0] = 0.0
+    for threads in ("1", "2"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("DISAGREE_THREADS", threads)
+            # blocks of ``width`` columns or more, split across the threads
+            mp.setattr(sparsify, "CG_BLOCK_BYTES", 8 * n * width)
+            x, it = dk.laplacian_solve(lap, y, kappa)
+            mp.setattr(sparsify, "_cg_block", cg_block_oracle)
+            expected, expected_it = dk.laplacian_solve(lap, y, kappa)
+        assert np.array_equal(x, expected)
+        assert it == expected_it
+
+
 def test_laplacian_solve_split_block_iteration_cap(monkeypatch):
     lap, q, kappa = _gsw_sketch_block()
     blocks = _count_blocks(monkeypatch)
@@ -345,6 +373,37 @@ def test_approx_stderr_is_the_spread_of_the_sketch_rows():
     assert np.mean(per_row) == pytest.approx(est.value, rel=1e-12)
     assert est.diagnostics["stderr"] == pytest.approx(
         np.std(per_row, ddof=1) / math.sqrt(k), rel=1e-10)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_approx_reductions_equal_the_copying_expressions(monkeypatch,
+                                                         weighted):
+    """The in-place reductions of the solution give the value, per-node
+    terms and stderr of the expressions that copy it, bit for bit."""
+    eps, seed = 0.3, 5
+    g = random_connected_graph(40, 0.25, seed=17, weighted=weighted)
+    solved = []
+    real = sparsify.laplacian_solve
+
+    def capturing(*args, **kwargs):
+        x, iters = real(*args, **kwargs)
+        solved.append(x.copy())
+        return x, iters
+
+    monkeypatch.setattr(sparsify, "laplacian_solve", capturing)
+    est = dk.approx_disagreement(g, eps, seed=seed)
+    k = est.diagnostics["k"]
+    pi = g.stationary()
+    z = solved[0].T
+    p = z @ pi
+    diffs = z - p[:, None]
+    c = np.einsum("ij,ij->j", diffs, diffs)
+    per_row = k * g.d_sum * (diffs * diffs) @ (pi * pi)
+    assert est.value == float(g.d_sum * np.sum(pi * pi * c))
+    assert est.per_node == {i: float(g.d_sum * pi[i] ** 2 * c[i])
+                            for i in range(g.n)}
+    assert est.diagnostics["stderr"] == float(
+        per_row.std(ddof=1) / math.sqrt(k))
 
 
 def test_lambda_min_bound_lies_below_lambda_2_on_gsw_dense_input():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import disagree_kit as dk
 from disagree_kit.spectral import truncation_length, two_step_pinv_diagonal
 from helpers import (hitting_times_to, m_inverse_diagonal_oracle,
-                     path_graph, random_connected_graph, transition_matrix,
-                     triangle)
+                     m_matrix_oracle, path_graph, random_connected_graph,
+                     transition_matrix, triangle)
 
 
 def test_triangle_eigenvalues():
@@ -281,9 +281,32 @@ def test_row_block_m_equals_the_whole_assembly(n, p, graph_seed, weighted,
     assert np.array_equal(d, m_inverse_diagonal_oracle(g))
 
 
-def test_decompose_holds_one_n_by_n_buffer():
-    """tracemalloc sees numpy's buffers: the peak is M's one n x n float64
-    buffer plus a block and the sparse S, well under a second buffer."""
+@settings(max_examples=40, deadline=None)
+@given(half=st.integers(3, 25), odd=st.integers(0, 1), p=st.floats(0.3, 0.9),
+       graph_seed=st.integers(0, 10_000), weighted=st.booleans(),
+       data=st.data())
+def test_packed_m_equals_lapacks_packing_of_the_whole_m(half, odd, p,
+                                                        graph_seed, weighted,
+                                                        data):
+    n = 2 * half + odd
+    g = random_connected_graph(n, p, graph_seed, weighted=weighted)
+    rows = data.draw(st.integers(2, n - 1).filter(lambda r: n % r),
+                     label="rows")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dk.spectral, "_BLOCK_BYTES", 8 * n * rows)
+        packed = dk.spectral._m_packed(g)
+    whole = m_matrix_oracle(g)
+    # S, and so M, is symmetric bit for bit: either triangle packs alike
+    assert np.array_equal(whole, whole.T)
+    expected, info = scipy.linalg.lapack.dtrttf(whole, transr="N", uplo="L")
+    assert info == 0
+    assert packed.shape == ((n + 1) // 2, n + 1 - odd)
+    assert np.array_equal(packed.reshape(-1), expected)
+
+
+def test_decompose_holds_m_in_packed_storage():
+    """tracemalloc sees numpy's buffers: the peak is M's n(n + 1)/2 packed
+    numbers plus a block and the sparse S, well under one n x n array."""
     g = dk.generate_gsw(1024, 0.5, seed=0)
     dk.decompose(triangle())  # the lazy scipy.linalg import stays out
     tracemalloc.start()
@@ -292,14 +315,14 @@ def test_decompose_holds_one_n_by_n_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * 8 * g.n ** 2
+    assert peak < 0.85 * 8 * g.n ** 2
 
 
 def test_failed_cholesky_raises_domain_error(monkeypatch):
-    def failing_dpotrf(a, **kwargs):
+    def failing_dpftrf(n, a, **kwargs):
         return a, 3
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing_dpotrf)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", failing_dpftrf)
     with pytest.raises(dk.DomainError, match="not positive definite"):
         dk.exact_disagreement(triangle())
     with pytest.raises(dk.DomainError, match="not positive definite"):
@@ -374,15 +397,15 @@ def test_summary_of_another_graph_does_not_change_delta():
 
 
 def _count_factorisations(monkeypatch):
-    """Patch LAPACK's ``dpotrf`` to log each call into a list."""
+    """Patch LAPACK's ``dpftrf`` to log each call into a list."""
     calls = []
-    real = scipy.linalg.lapack.dpotrf
+    real = scipy.linalg.lapack.dpftrf
 
     def counting(*args, **kwargs):
-        calls.append("dpotrf")
+        calls.append("dpftrf")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", counting)
     return calls
 
 
@@ -434,7 +457,7 @@ def test_high_trace_factor_is_dropped_for_the_eigenpair_route(monkeypatch):
     assert s._m_inv_diag is None
     delta = dk.exact_disagreement(g, s).delta
     kemeny = dk.exact_kemeny_two_step(s)
-    assert factorisations == ["dpotrf"]
+    assert factorisations == ["dpftrf"]
     # both read the eigenvalues the warning check computed, delta also
     # the eigenvectors; the ill-conditioned factor is 3.9% off either
     # true value (60-digit mpmath eigenvalues: delta 2.5e13, Kemeny 1.5e14)
@@ -458,7 +481,7 @@ def test_exact_disagreement_factors_once(monkeypatch):
                 lambda: dk.exact_disagreement(g, explicit)):
         factorisations.clear()
         assert run().delta == expected
-        assert factorisations == ["dpotrf"]
+        assert factorisations == ["dpftrf"]
 
 
 def test_bipartite_bypass_runs_no_factorisation(monkeypatch):
