@@ -1,6 +1,11 @@
 """Command-line entry point: generate graphs, compute disagreement by any
 method, estimate Kemeny constants, and run sweep experiments.
 
+``OPTIONS`` and ``METHODS`` are the one table of method options: the
+``compute``/``kemeny`` flags, their run records and the sweep's section
+check are all built from it. A sweep runs its cells one after another on
+the calling thread.
+
 Exit codes: 0 success, 1 usage (or an unreadable input file), 2 domain,
 3 resource, 4 convergence.
 """
@@ -16,10 +21,9 @@ import math
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy
 import scipy
@@ -29,7 +33,6 @@ from .errors import CostWarning, DisagreeKitError, UsageError
 from .graph import (DENSE_NODE_CAP, WeightedGraph, edge_list_text,
                     load_edge_list)
 from .rng import TAG_CELL, derive_seed
-from .threads import worker_count
 
 EPSILON_GRID = (0.35, 0.3, 0.25)
 SWEEP_COLUMNS = ("graph", "N", "M", "method", "epsilon", "trial", "value",
@@ -40,43 +43,6 @@ def graph_fingerprint(g: WeightedGraph) -> str:
     """Content hash of the canonical sorted edge list; insensitive to the
     edge order of the original source."""
     return hashlib.sha256(edge_list_text(g).encode()).hexdigest()
-
-
-@dataclass
-class RunRecord:
-    """One ``compute``/``kemeny`` run; ``extra`` is the estimator's own JSON,
-    whose keys give way to the record's. ``versions`` names the package,
-    numpy and scipy versions that produced it."""
-
-    command: str
-    graph_fingerprint: str
-    method: str
-    params: dict
-    result: float
-    wall_time_s: float
-    seed: int | None
-    timestamp: str
-    extra: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            **self.extra,
-            "command": self.command,
-            "graph_fingerprint": self.graph_fingerprint,
-            "method": self.method,
-            "params": self.params,
-            "result": self.result,
-            "wall_time_s": self.wall_time_s,
-            "seed": self.seed,
-            "timestamp": self.timestamp,
-            "versions": {"disagree_kit": __version__,
-                         "numpy": numpy.__version__,
-                         "scipy": scipy.__version__},
-        }
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compute", help="compute disagreement")
     comp.add_argument("graph", help="edge-list file")
     comp.add_argument("method", choices=list(METHODS))
-    _add_method_flags(comp)
+    _add_method_flags(comp, METHODS)
 
     kem = sub.add_parser("kemeny", help="Kemeny constant of the two-step walk")
     kem.add_argument("graph", nargs="?", help="edge-list file")
@@ -112,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["exact", "sample", "closed-form"])
     kem.add_argument("--psfw-g", type=int,
                      help="pseudofractal iteration count (closed-form)")
-    _add_method_flags(kem)
+    _add_method_flags(kem, ["sample"])
 
     sweep = sub.add_parser("sweep", help="run an error/runtime sweep")
     sweep.add_argument("config", help="JSON sweep configuration")
@@ -120,24 +86,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_method_flags(p: argparse.ArgumentParser) -> None:
+def _add_method_flags(p: argparse.ArgumentParser, methods) -> None:
+    """``--epsilon``, ``--seed``, ``--estimate-gap`` (sample's alternative
+    to ``--lambda-bound``) and the flags of the option keys ``methods``
+    read; a flag two keys share is added once."""
     p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda-bound", type=float, dest="lambda_bound")
     p.add_argument("--estimate-gap", action="store_true")
-    p.add_argument("--ell", type=int)
-    p.add_argument("--walks", type=int)
-    p.add_argument("--node-budget", type=int)
-    p.add_argument("--reuse-walks", action="store_true")
-    p.add_argument("--oversample-c", type=float, default=1.0)
-    p.add_argument("--max-cg-iters", type=int)
-    p.add_argument("--kappa-override", type=float)
-    p.add_argument("--burn-in", type=int)
-    p.add_argument("--horizon", type=int, default=100_000)
-    p.add_argument("--cap", type=int, default=1_000,
-                   help="hitting-walk truncation cap")
-    p.add_argument("--allow-bipartite", action="store_true")
-    p.add_argument("--output", choices=["json"], default="json")
+    for flag, kind in dict.fromkeys(OPTIONS[key] for method in methods
+                                    for key in METHODS[method].keys):
+        if kind is bool:
+            p.add_argument(flag, action="store_true")
+        else:
+            p.add_argument(flag, type=kind)
 
 
 #: how ``compute``/``kemeny`` and a sweep config spell the knobs that
@@ -176,77 +137,99 @@ def _sample_record_params(est, options: dict) -> dict:
     return {**est.params, "lambda_bound_source": source}
 
 
-def _pick(options: dict, *keys: str) -> dict:
-    return {k: options[k] for k in keys if k in options}
+#: option key -> (its ``compute``/``kemeny`` flag, its value type); a bool
+#: option is a switch that defaults to False. Sample's ``walks`` and mc's
+#: ``walks_per_target`` share ``--walks``.
+OPTIONS = {
+    "allow_bipartite": ("--allow-bipartite", bool),
+    "lambda_bound": ("--lambda-bound", float),
+    "ell": ("--ell", int),
+    "walks": ("--walks", int),
+    "node_budget": ("--node-budget", int),
+    "reuse_walks": ("--reuse-walks", bool),
+    "oversample": ("--oversample-c", float),
+    "kappa": ("--kappa-override", float),
+    "max_cg_iters": ("--max-cg-iters", int),
+    "burn_in": ("--burn-in", int),
+    "horizon": ("--horizon", int),
+    "truncation_cap": ("--cap", int),
+    "walks_per_target": ("--walks", int),
+}
 
 
-def _mc_config(options: dict, seed: int) -> dynamics.MCConfig:
-    return dynamics.MCConfig(seed=seed, **_pick(
-        options, "burn_in", "horizon", "truncation_cap", "walks_per_target"))
+class Method(NamedTuple):
+    """An estimator, called as (graph, options, epsilon, seed), and the
+    ``OPTIONS`` keys its options may hold; a missing key takes the
+    library's default."""
+
+    estimate: Callable
+    keys: tuple[str, ...]
 
 
-#: method name -> (graph, options, epsilon, seed) -> estimate. Options use
-#: the sweep config's keys; estimators are looked up through their module
-#: at call time, so patching a module attribute reaches every caller.
+#: method name -> its estimator and option keys. Estimators are looked up
+#: through their module at call time, so patching a module attribute
+#: reaches every caller.
 METHODS = {
-    "exact": lambda g, opts, eps, seed: spectral.exact_disagreement(
+    "exact": Method(lambda g, opts, eps, seed: spectral.exact_disagreement(
         g, allow_bipartite_pseudoinverse=opts.get("allow_bipartite", False)),
-    "sample": lambda g, opts, eps, seed: sampler.sample_disagreement(
+        ("allow_bipartite",)),
+    "sample": Method(lambda g, opts, eps, seed: sampler.sample_disagreement(
         g, _sample_params(g, opts, eps, seed)),
-    "approx": lambda g, opts, eps, seed: sparsify.approx_disagreement(
-        g, eps, seed, **_pick(opts, "oversample", "kappa", "max_cg_iters")),
-    "mc": lambda g, opts, eps, seed: dynamics.simulate_mc_disagreement(
-        g, _mc_config(opts, seed)),
-    "simulate": lambda g, opts, eps, seed: dynamics.simulate_noisy_degroot(
-        g, _mc_config(opts, seed)),
+        ("lambda_bound", "ell", "walks", "node_budget", "reuse_walks")),
+    "approx": Method(lambda g, opts, eps, seed: sparsify.approx_disagreement(
+        g, eps, seed, **opts), ("oversample", "kappa", "max_cg_iters")),
+    "mc": Method(lambda g, opts, eps, seed: dynamics.simulate_mc_disagreement(
+        g, dynamics.MCConfig(seed=seed, **opts)),
+        ("burn_in", "horizon", "truncation_cap", "walks_per_target")),
+    "simulate": Method(lambda g, opts, eps, seed:
+                       dynamics.simulate_noisy_degroot(
+                           g, dynamics.MCConfig(seed=seed, **opts)),
+                       ("burn_in", "horizon", "truncation_cap")),
 }
 
-#: the sweep's view of ``METHODS``: its cost warning names config keys.
-SWEEP_METHODS = {**METHODS, "sample": lambda g, opts, eps, seed:
-                 sampler.sample_disagreement(
-                     g, _sample_params(g, opts, eps, seed, _SWEEP_ADVICE))}
-
-#: method name -> the option keys ``METHODS`` reads, which a sweep config
-#: section may hold; each is the ``compute`` flag of the same name unless
-#: ``_FLAG_OF`` names another.
-OPTION_KEYS = {
-    "exact": ("allow_bipartite",),
-    "sample": ("lambda_bound", "ell", "walks", "node_budget", "reuse_walks"),
-    "approx": ("oversample", "kappa", "max_cg_iters"),
-    "mc": ("burn_in", "horizon", "truncation_cap", "walks_per_target"),
-    "simulate": ("burn_in", "horizon", "truncation_cap"),
-}
-_FLAG_OF = {"oversample": "oversample_c", "kappa": "kappa_override",
-            "truncation_cap": "cap", "walks_per_target": "walks"}
-#: a sweep's exact cells reuse one up-front solve, which takes no options
-SWEEP_OPTION_KEYS = {**OPTION_KEYS, "exact": ()}
+#: the sweep's view of ``METHODS``: its exact cells reuse one up-front
+#: solve, which takes no options, and its cost warning names config keys.
+SWEEP_METHODS = {
+    **METHODS, "exact": METHODS["exact"]._replace(keys=()),
+    "sample": METHODS["sample"]._replace(
+        estimate=lambda g, opts, eps, seed: sampler.sample_disagreement(
+            g, _sample_params(g, opts, eps, seed, _SWEEP_ADVICE)))}
 
 
 def _method_options(args) -> dict:
-    """The ``compute``/``kemeny`` flags of ``args.method`` as its options."""
+    """The ``compute``/``kemeny`` flags of ``args.method`` as its options;
+    an int or float flag not given is left out."""
     if args.method == "sample":
         if args.lambda_bound is not None and args.estimate_gap:
             raise UsageError("give either --lambda-bound or --estimate-gap")
         if args.lambda_bound is None and not args.estimate_gap:
             raise UsageError("sampling needs --lambda-bound or --estimate-gap")
-    flags = {key: getattr(args, _FLAG_OF.get(key, key))
-             for key in OPTION_KEYS[args.method]}
+    flags = {key: getattr(args, OPTIONS[key][0][2:].replace("-", "_"))
+             for key in METHODS[args.method].keys}
     return {k: v for k, v in flags.items() if v is not None}
 
 
-def _compute_record(g: WeightedGraph, method: str, options: dict,
-                    eps: float, seed: int, command: str) -> RunRecord:
-    t0 = time.perf_counter()
-    est = METHODS[method](g, options, eps, seed)
+def _write_record(g: WeightedGraph | None, method: str, params: dict,
+                  result: float, t0: float, seed: int | None,
+                  extra: dict | None = None) -> None:
+    """Print the run record of a ``compute``/``kemeny`` run that began at
+    ``t0``. Without a graph its fingerprint is empty; ``extra`` is the
+    estimator's own JSON, whose keys give way to the record's; ``versions``
+    names the package, numpy and scipy versions that produced it."""
     wall = time.perf_counter() - t0
-    if method == "exact":
-        params = options
-    elif method == "sample":
-        params = _sample_record_params(est, options)
-    else:
-        params = est.params
-    return RunRecord(command, graph_fingerprint(g), method, params,
-                     est.value, wall, seed, _now(), est.to_json())
+    _write_json({
+        **(extra or {}),
+        "command": " ".join(sys.argv[1:]),
+        "graph_fingerprint": "" if g is None else graph_fingerprint(g),
+        "method": method,
+        "params": params,
+        "result": result,
+        "wall_time_s": wall,
+        "seed": seed,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "versions": {"disagree_kit": __version__, "numpy": numpy.__version__,
+                     "scipy": scipy.__version__},
+    })
 
 
 def _strict(obj):
@@ -288,42 +271,44 @@ def cmd_gen(args) -> int:
 
 def cmd_compute(args) -> int:
     g = load_edge_list(args.graph)
-    record = _compute_record(g, args.method, _method_options(args),
-                             args.epsilon, args.seed, " ".join(sys.argv[1:]))
-    _write_json(record.to_json())
+    options = _method_options(args)
+    t0 = time.perf_counter()
+    est = METHODS[args.method].estimate(g, options, args.epsilon, args.seed)
+    if args.method == "exact":
+        params = options
+    elif args.method == "sample":
+        params = _sample_record_params(est, options)
+    else:
+        params = est.params
+    _write_record(g, args.method, params, est.value, t0, args.seed,
+                  est.to_json())
     return 0
 
 
 def cmd_kemeny(args) -> int:
-    command = " ".join(sys.argv[1:])
-    t0 = time.perf_counter()
     if args.method == "closed-form":
         if args.psfw_g is None:
             raise UsageError("kemeny --method closed-form needs --psfw-g")
+        t0 = time.perf_counter()
         value = generators.psfw_kemeny_closed_form(args.psfw_g)
-        record = RunRecord(command, "", "kemeny",
-                           {"variant": "closed-form", "g": args.psfw_g},
-                           value, time.perf_counter() - t0, None, _now())
-        _write_json(record.to_json())
+        _write_record(None, "kemeny", {"variant": "closed-form",
+                                       "g": args.psfw_g}, value, t0, None)
         return 0
     if args.graph is None:
         raise UsageError("kemeny exact/sample needs a graph file")
     g = load_edge_list(args.graph)
     if args.method == "exact":
-        summary = spectral.decompose(g)
-        value = spectral.exact_kemeny_two_step(summary)
-        record = RunRecord(command, graph_fingerprint(g), "kemeny",
-                           {"variant": "exact"}, value,
-                           time.perf_counter() - t0, None, _now())
-    else:
-        options = _method_options(args)
-        params = _sample_params(g, options, args.epsilon, args.seed)
-        est = sampler.sample_kemeny_two_step(g, params)
-        record = RunRecord(command, graph_fingerprint(g), "kemeny",
-                           {"variant": "sample",
-                            **_sample_record_params(est, options)}, est.value,
-                           time.perf_counter() - t0, est.seed, _now())
-    _write_json(record.to_json())
+        t0 = time.perf_counter()
+        value = spectral.exact_kemeny_two_step(spectral.decompose(g))
+        _write_record(g, "kemeny", {"variant": "exact"}, value, t0, None)
+        return 0
+    options = _method_options(args)
+    t0 = time.perf_counter()
+    est = sampler.sample_kemeny_two_step(
+        g, _sample_params(g, options, args.epsilon, args.seed))
+    _write_record(g, "kemeny", {"variant": "sample",
+                                **_sample_record_params(est, options)},
+                  est.value, t0, args.seed)
     return 0
 
 
@@ -347,26 +332,18 @@ def _config_list(cfg: dict, key: str, default: list) -> list:
     return value
 
 
-def _flag_types() -> dict:
-    """``compute`` flag dest -> its value type; a switch's is bool."""
-    p = argparse.ArgumentParser(add_help=False)
-    _add_method_flags(p)
-    return {a.dest: a.type or bool for a in p._actions}
-
-
-#: the JSON values a sweep option of each flag type takes (bool is an int
-#: subclass, so types are matched exactly) and how an error names them
+#: the JSON values a sweep option of each option type takes (bool is an
+#: int subclass, so types are matched exactly) and how an error names them
 _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                bool: ((bool,), "true or false")}
 
 
 def _check_sections(cfg: dict) -> None:
     """Each method section must be an object of that method's option keys,
-    each value of its ``compute`` flag's type or null (not given): a
+    each value of its ``OPTIONS`` type or null (not given): a
     misspelt key would otherwise be ignored silently, a mistyped value
     fail deep inside an estimator."""
-    flag_types = _flag_types()
-    for method, keys in SWEEP_OPTION_KEYS.items():
+    for method, (_, keys) in SWEEP_METHODS.items():
         section = cfg.get(method, {})
         if not isinstance(section, dict):
             raise UsageError(f"sweep config {method!r} must be an object, "
@@ -376,7 +353,7 @@ def _check_sections(cfg: dict) -> None:
             raise UsageError(f"sweep config {method!r} has unknown keys "
                              f"{unknown}; it takes {list(keys)}")
         for key, value in section.items():
-            types, name = _JSON_TYPES[flag_types[_FLAG_OF.get(key, key)]]
+            types, name = _JSON_TYPES[OPTIONS[key][1]]
             if value is not None and type(value) not in types:
                 raise UsageError(f"sweep config {method!r} option {key!r} "
                                  f"must be {name}, got {value!r}")
@@ -411,13 +388,14 @@ def _run_cell(g: WeightedGraph, method: str, eps: float, seed: int,
               cfg: dict) -> tuple[float, float]:
     """One sweep cell through ``SWEEP_METHODS``: (value, wall time)."""
     t0 = time.perf_counter()
-    value = SWEEP_METHODS[method](g, cfg.get(method, {}), eps, seed).value
+    value = SWEEP_METHODS[method].estimate(g, cfg.get(method, {}), eps,
+                                           seed).value
     return value, time.perf_counter() - t0
 
 
 def _timed_exact(g: WeightedGraph) -> tuple[float, float]:
     t0 = time.perf_counter()
-    value = METHODS["exact"](g, {}, None, 0).value
+    value = METHODS["exact"].estimate(g, {}, None, 0).value
     return value, time.perf_counter() - t0
 
 
@@ -431,7 +409,7 @@ def run_sweep(cfg: dict, base: Path) -> list[dict]:
     _check_sections(cfg)
     # a null option is not given: every estimator sees the key absent
     cfg = {**cfg, **{m: {k: v for k, v in cfg[m].items() if v is not None}
-                     for m in SWEEP_OPTION_KEYS if m in cfg}}
+                     for m in SWEEP_METHODS if m in cfg}}
     epsilons = _config_list(cfg, "epsilons", list(EPSILON_GRID))
     for eps in epsilons:
         if type(eps) not in (int, float):  # bool is no epsilon either
@@ -441,53 +419,38 @@ def run_sweep(cfg: dict, base: Path) -> list[dict]:
     graphs = _sweep_graphs(cfg, base)
     if not graphs or not methods:
         raise UsageError("sweep config needs non-empty 'graphs' and 'methods'")
-    workers = worker_count()
 
     # indexed by graph position: two graphs may share a display name
     exact_cells = [_timed_exact(g) if g.n <= DENSE_NODE_CAP else None
                    for _, g in graphs]
     with_rel = all(v is not None for v in exact_cells)
 
-    cells = []
-    for gi in range(len(graphs)):
-        for mi, method in enumerate(methods):
-            if method == "exact":
-                cells.append((gi, method, None, 0,
-                              derive_seed(root_seed, TAG_CELL, gi, mi, 0, 0)))
-                continue
-            for ei, eps in enumerate(epsilons):
-                for trial in range(trials):
-                    cells.append((gi, method, eps, trial,
-                                  derive_seed(root_seed, TAG_CELL, gi, mi,
-                                              ei + 1, trial)))
-
-    def work(cell):
-        gi, method, eps, _, seed = cell
-        g = graphs[gi][1]
-        if method == "exact":  # reuse the up-front value and its time
-            return exact_cells[gi] or _timed_exact(g)
-        return _run_cell(g, method, eps, seed, cfg)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(work, cells))
-
     rows = []
-    for (gi, method, eps, trial, _), (value, wall) in zip(cells, results):
-        name, g = graphs[gi]
-        row = {
-            "graph": name,
-            "N": g.n,
-            "M": g.m,
-            "method": method,
-            "epsilon": "" if eps is None else eps,
-            "trial": trial,
-            "value": value,
-            "wall_time_s": wall,
-        }
-        if with_rel:
-            exact = exact_cells[gi][0]
-            row["rel_error_vs_exact"] = abs(value - exact) / abs(exact)
-        rows.append(row)
+    for gi, (name, g) in enumerate(graphs):
+        for mi, method in enumerate(methods):
+            if method == "exact":  # reuse the up-front value and its time
+                cells = [(None, 0, exact_cells[gi] or _timed_exact(g))]
+            else:
+                cells = [(eps, trial, _run_cell(
+                    g, method, eps, derive_seed(root_seed, TAG_CELL, gi, mi,
+                                                ei + 1, trial), cfg))
+                         for ei, eps in enumerate(epsilons)
+                         for trial in range(trials)]
+            for eps, trial, (value, wall) in cells:
+                row = {
+                    "graph": name,
+                    "N": g.n,
+                    "M": g.m,
+                    "method": method,
+                    "epsilon": "" if eps is None else eps,
+                    "trial": trial,
+                    "value": value,
+                    "wall_time_s": wall,
+                }
+                if with_rel:
+                    exact = exact_cells[gi][0]
+                    row["rel_error_vs_exact"] = abs(value - exact) / abs(exact)
+                rows.append(row)
     return rows
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .graph import WeightedGraph, require_ergodic
 from .graph import validate  # noqa: F401  bench/selftest.py checks this binding
 from .results import DisagreementEstimate
@@ -25,6 +25,12 @@ from .walks import NeighborSampler
 
 #: derived truncation lengths above this trigger a cost warning.
 ELL_COST_WARNING = 2_000
+#: largest truncation length ``derive_params`` derives on its own. The
+#: estimator holds ell return probabilities per node and walks 2(ell - 1)
+#: steps; where ``estimate_gap_bound`` hits its 1 - 1e-9 ceiling the
+#: derived ell reaches about 10^10, which no run can hold, so it is
+#: refused and ell or a tighter bound must be given explicitly.
+MAX_DERIVED_ELL = 1_000_000
 #: ``estimate_gap_bound`` multiplies its power-iteration estimate by this.
 GAP_INFLATE = 1.05
 
@@ -72,7 +78,8 @@ def derive_params(n: int, epsilon: float, lambda_bound: float, *,
     truncation error at eps/2; walks = ceil(2 ell^2 log(2 n^2 ell)/eps^2)
     is the Hoeffding budget; the node budget is
     ceil(sqrt(n log n)/((1-lam) eps)), clamped to n. Explicit values
-    override their derivation.
+    override their derivation; a derived ell above ``MAX_DERIVED_ELL`` is
+    refused.
     """
     if n < 2:
         raise DomainError(f"need at least 2 nodes, got {n}")
@@ -83,6 +90,12 @@ def derive_params(n: int, epsilon: float, lambda_bound: float, *,
             f"lambda bound must lie in (0, 1), got {lambda_bound}")
     if ell is None:
         ell = truncation_length(epsilon, lambda_bound)
+        if ell > MAX_DERIVED_ELL:
+            raise ResourceError(
+                f"the derived truncation length ell={ell} (lambda bound "
+                f"{lambda_bound!r}) exceeds {MAX_DERIVED_ELL}; give ell "
+                "with --ell or a tighter --lambda-bound, or the \"ell\" or "
+                '"lambda_bound" key of a sweep\'s "sample" section')
     if ell < 1:
         raise DomainError(f"truncation length must be >= 1, got {ell}")
     if walks_per_length is None:

@@ -1,6 +1,6 @@
-"""Thread budget shared by the sweep pool and the block CG solver.
+"""Thread budget of the block CG solver.
 
-``DISAGREE_THREADS`` caps both; unset or empty, the budget is the CPU
+``DISAGREE_THREADS`` caps it; unset or empty, the budget is the CPU
 count, at most 8.
 """
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -306,9 +307,9 @@ def test_sweep_configs_of_the_wrong_shape_are_usage_errors(tmp_path, cfg,
 def test_sweep_sections_take_every_option_key():
     """The section check accepts every key a sweep cell reads."""
     cfg = {method: {key: None for key in keys}
-           for method, keys in cli.SWEEP_OPTION_KEYS.items()}
+           for method, (_, keys) in cli.SWEEP_METHODS.items()}
     cli._check_sections(cfg)
-    assert set(cli.SWEEP_OPTION_KEYS) == set(cli.METHODS)
+    assert set(cli.SWEEP_METHODS) == set(cli.METHODS)
     with pytest.raises(dk.UsageError, match="allow_bipartite"):
         cli._check_sections({"exact": {"allow_bipartite": True}})
 
@@ -326,10 +327,20 @@ _WRONG_VALUES = {int: ["x", 1.5, True], float: ["x", True],
 
 
 def test_sweep_option_types_come_from_the_compute_flags():
-    flags = cli._flag_types()
-    assert {key: flags[cli._FLAG_OF.get(key, key)]
-            for keys in cli.OPTION_KEYS.values()
-            for key in keys} == _OPTION_TYPES
+    assert {key: kind for key, (_, kind) in cli.OPTIONS.items()} == \
+        _OPTION_TYPES
+    assert {key for _, keys in cli.METHODS.values()
+            for key in keys} == set(_OPTION_TYPES)
+    # each method's compute flags parse to its options, of these types
+    parser = cli.build_parser()
+    for method, (_, keys) in cli.METHODS.items():
+        argv = ["compute", "g.tsv", method]
+        for key in keys:
+            flag, kind = cli.OPTIONS[key]
+            argv += [flag] if kind is bool else [flag, "3"]
+        options = cli._method_options(parser.parse_args(argv))
+        assert {key: type(value) for key, value in options.items()} == \
+            {key: _OPTION_TYPES[key] for key in keys}
     # an integer is a number too
     cli._check_sections({"sample": {"lambda_bound": 1},
                          "approx": {"oversample": 2, "kappa": 3}})
@@ -337,7 +348,7 @@ def test_sweep_option_types_come_from_the_compute_flags():
 
 @pytest.mark.parametrize("method, key, value", [
     (method, key, value)
-    for method, keys in cli.SWEEP_OPTION_KEYS.items() for key in keys
+    for method, (_, keys) in cli.SWEEP_METHODS.items() for key in keys
     for value in _WRONG_VALUES[_OPTION_TYPES[key]]])
 def test_sweep_option_values_of_the_wrong_type_are_usage_errors(
         tmp_path, method, key, value):
@@ -358,7 +369,7 @@ def test_sweep_null_options_run_as_not_given(tmp_path):
     nulls = {**base,
              "sample": {**base["sample"], "node_budget": None,
                         "reuse_walks": None},
-             "approx": {key: None for key in cli.OPTION_KEYS["approx"]},
+             "approx": {key: None for key in cli.METHODS["approx"].keys},
              "mc": {**base["mc"], "burn_in": None, "horizon": None}}
     values = []
     for cfg in (base, nulls):
@@ -524,11 +535,122 @@ def test_worker_count_rejects_bad_values(monkeypatch, tmp_path, tri_path,
     monkeypatch.setenv("DISAGREE_THREADS", value)
     with pytest.raises(dk.UsageError):
         worker_count()
+    # the approx cell's CG solve reads the variable
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps({
-        "methods": ["exact"], "graphs": [{"path": str(tri_path)}]}))
+        "methods": ["approx"], "trials": 1, "epsilons": [0.5],
+        "graphs": [{"path": str(tri_path)}]}))
     code, _, err = run_cli(["sweep", str(cfg_path)])
     assert code == 1 and "DISAGREE_THREADS" in err
+
+
+def test_sweep_runs_its_cells_on_the_calling_thread(tmp_path, monkeypatch):
+    threads = []
+    real = cli._run_cell
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_run_cell", recording)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "methods": ["exact", "sample", "mc"], "trials": 2,
+        "epsilons": [0.5, 0.3], "graphs": [{"family": "psfw", "g": 2}],
+        "sample": {"lambda_bound": 0.9, "ell": 3, "walks": 50},
+        "mc": {"walks_per_target": 20}}))
+    code, _, err = run_cli(["sweep", str(cfg_path)])
+    assert code == 0, err
+    assert threads == [threading.get_ident()] * 8
+
+
+def test_sweep_rows_do_not_depend_on_disagree_threads(tmp_path,
+                                                     monkeypatch):
+    # CG blocks of 16 columns on psfw g=3 (42 nodes), so that two threads
+    # split each approx solve
+    monkeypatch.setattr(dk.sparsify, "CG_BLOCK_BYTES", 8 * 42 * 16)
+    solver_threads = set()
+    real = dk.sparsify._cg_block
+
+    def recording(*args):
+        solver_threads.add(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(dk.sparsify, "_cg_block", recording)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "methods": ["exact", "approx", "sample"], "trials": 2,
+        "epsilons": [0.5, 0.3], "graphs": [{"family": "psfw", "g": 3}],
+        "sample": {"lambda_bound": 0.9, "ell": 3, "walks": 50}}))
+    outputs = []
+    for threads in (1, 2):
+        monkeypatch.setenv("DISAGREE_THREADS", str(threads))
+        solver_threads.clear()
+        code, stdout, err = run_cli(["sweep", str(cfg_path), "--output",
+                                     "json"])
+        assert code == 0, err
+        assert len(solver_threads) == threads
+        rows = json.loads(stdout)
+        for row in rows:
+            assert row.pop("wall_time_s") > 0.0
+        outputs.append(rows)
+    assert outputs[0] == outputs[1]
+    assert [row["method"] for row in outputs[0]].count("approx") == 4
+
+
+@pytest.mark.parametrize("command, flag", [
+    *(("kemeny", flag) for flag in (
+        ["--allow-bipartite"], ["--oversample-c", "1.5"],
+        ["--kappa-override", "2"], ["--max-cg-iters", "5"],
+        ["--burn-in", "5"], ["--horizon", "5"], ["--cap", "7"],
+        ["--output", "json"])),
+    ("compute", ["--output", "json"])])
+def test_flags_no_method_of_the_command_reads_are_usage_errors(
+        tri_path, command, flag):
+    method = ["exact"] if command == "compute" else ["--method", "exact"]
+    code, stdout, err = run_cli([command, str(tri_path), *method, *flag])
+    assert code == 1 and stdout == ""
+    assert err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+
+
+def test_default_compute_records_pin_their_params(tri_path):
+    """Options not given take the library defaults, and a switch reads
+    false."""
+    mc_params = {"burn_in": None, "horizon": 100_000, "noise": "gaussian",
+                 "seed": 0, "truncation_cap": 1_000,
+                 "walks_per_target": 1_000}
+    expected = {
+        "exact": {"allow_bipartite": False},
+        "approx": {"epsilon": 0.25, "oversample": 1.0, "seed": 0},
+        "mc": mc_params,
+        "simulate": mc_params,
+        "sample --lambda-bound 0.5": {
+            "ell": 2, "epsilon": 0.25, "lambda_bound": 0.5,
+            "lambda_bound_source": "given", "node_budget": 3,
+            "reuse_walks": False, "seed": 0, "walks": 459},
+    }
+    for method, params in expected.items():
+        code, stdout, err = run_cli(["compute", str(tri_path),
+                                     *method.split()])
+        assert code == 0, err
+        assert json.loads(stdout)["params"] == params
+
+
+def test_a_derived_ell_beyond_the_cap_exits_3(tmp_path, tri_path):
+    lam = 0.999999999  # derives ell of about 10^10
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "methods": ["sample"], "trials": 1, "epsilons": [0.25],
+        "graphs": [{"path": str(tri_path)}], "sample": {"lambda_bound": lam}}))
+    for argv in (["compute", str(tri_path), "sample", "--lambda-bound",
+                  str(lam)],
+                 ["kemeny", str(tri_path), "--method", "sample",
+                  "--lambda-bound", str(lam)],
+                 ["sweep", str(cfg_path)]):
+        code, stdout, err = run_cli(argv)
+        assert code == 3 and stdout == ""
+        assert err.startswith("error: the derived truncation length")
+        assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_walk_budget_quadruples_when_epsilon_halves():

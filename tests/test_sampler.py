@@ -21,6 +21,19 @@ def test_derive_params_conservative_bound_is_huge():
     assert p.ell == 26034  # frozen from high-precision evaluation
 
 
+def test_derive_params_refuses_a_derived_ell_beyond_the_cap():
+    # a lambda bound at estimate_gap_bound's 1 - 1e-9 ceiling derives
+    # ell of about 10^10
+    with pytest.raises(dk.ResourceError, match='--ell.*"ell"'):
+        dk.derive_params(3, 0.25, 1.0 - 1e-9)
+    # a given ell is not capped, and the cap itself is derivable
+    assert dk.derive_params(3, 0.25, 1.0 - 1e-9, ell=5).ell == 5
+    lam = 0.99999
+    ell = dk.spectral.truncation_length(0.25, lam)
+    assert ell <= dk.sampler.MAX_DERIVED_ELL
+    assert dk.derive_params(3, 0.25, lam).ell == ell
+
+
 def test_derive_params_clamps_loose_tolerance():
     with pytest.warns(UserWarning):
         p = dk.derive_params(100, 5.0, 0.5)
