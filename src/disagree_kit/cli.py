@@ -119,8 +119,7 @@ def _sample_params(g: WeightedGraph, options: dict, eps: float, seed: int,
     params = sampler.derive_params(
         g.n, eps, lam, seed=seed, ell=options.get("ell"),
         walks_per_length=options.get("walks"),
-        node_budget=options.get("node_budget"),
-        reuse_walks=options.get("reuse_walks", False))
+        node_budget=options.get("node_budget"))
     if params.ell > sampler.ELL_COST_WARNING:
         warnings.warn(
             f"derived truncation length ell={params.ell} implies walks of "
@@ -146,7 +145,6 @@ OPTIONS = {
     "ell": ("--ell", int),
     "walks": ("--walks", int),
     "node_budget": ("--node-budget", int),
-    "reuse_walks": ("--reuse-walks", bool),
     "oversample": ("--oversample-c", float),
     "kappa": ("--kappa-override", float),
     "max_cg_iters": ("--max-cg-iters", int),
@@ -175,7 +173,7 @@ METHODS = {
         ("allow_bipartite",)),
     "sample": Method(lambda g, opts, eps, seed: sampler.sample_disagreement(
         g, _sample_params(g, opts, eps, seed)),
-        ("lambda_bound", "ell", "walks", "node_budget", "reuse_walks")),
+        ("lambda_bound", "ell", "walks", "node_budget")),
     "approx": Method(lambda g, opts, eps, seed: sparsify.approx_disagreement(
         g, eps, seed, **opts), ("oversample", "kappa", "max_cg_iters")),
     "mc": Method(lambda g, opts, eps, seed: dynamics.simulate_mc_disagreement(
@@ -184,7 +182,7 @@ METHODS = {
     "simulate": Method(lambda g, opts, eps, seed:
                        dynamics.simulate_noisy_degroot(
                            g, dynamics.MCConfig(seed=seed, **opts)),
-                       ("burn_in", "horizon", "truncation_cap")),
+                       ("burn_in", "horizon")),
 }
 
 #: the sweep's view of ``METHODS``: its exact cells reuse one up-front
@@ -196,17 +194,28 @@ SWEEP_METHODS = {
             g, _sample_params(g, opts, eps, seed, _SWEEP_ADVICE)))}
 
 
-def _method_options(args) -> dict:
-    """The ``compute``/``kemeny`` flags of ``args.method`` as its options;
-    an int or float flag not given is left out."""
+def _method_options(args, keys: tuple[str, ...] | None = None) -> dict:
+    """The ``compute``/``kemeny`` flags of the option ``keys`` (by default
+    those of ``args.method``) as options; an int or float flag not given
+    is left out. Any other option flag given is a usage error, since the
+    method would ignore it."""
+    if keys is None:
+        keys = METHODS[args.method].keys
     if args.method == "sample":
         if args.lambda_bound is not None and args.estimate_gap:
             raise UsageError("give either --lambda-bound or --estimate-gap")
         if args.lambda_bound is None and not args.estimate_gap:
             raise UsageError("sampling needs --lambda-bound or --estimate-gap")
-    flags = {key: getattr(args, OPTIONS[key][0][2:].replace("-", "_"))
-             for key in METHODS[args.method].keys}
-    return {k: v for k, v in flags.items() if v is not None}
+    values = {flag: getattr(args, flag[2:].replace("-", "_"), None)
+              for flag, _ in OPTIONS.values()}
+    read = {OPTIONS[key][0] for key in keys}
+    stray = [flag for flag, value in values.items() if flag not in read
+             and value is not None and value is not False]
+    if stray:
+        raise UsageError(f"{args.command} {args.method} does not read "
+                         f"{', '.join(stray)}")
+    options = {key: values[OPTIONS[key][0]] for key in keys}
+    return {k: v for k, v in options.items() if v is not None}
 
 
 def _write_record(g: WeightedGraph | None, method: str, params: dict,
@@ -286,6 +295,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_kemeny(args) -> int:
+    options = _method_options(
+        args, METHODS["sample"].keys if args.method == "sample" else ())
     if args.method == "closed-form":
         if args.psfw_g is None:
             raise UsageError("kemeny --method closed-form needs --psfw-g")
@@ -302,7 +313,6 @@ def cmd_kemeny(args) -> int:
         value = spectral.exact_kemeny_two_step(spectral.decompose(g))
         _write_record(g, "kemeny", {"variant": "exact"}, value, t0, None)
         return 0
-    options = _method_options(args)
     t0 = time.perf_counter()
     est = sampler.sample_kemeny_two_step(
         g, _sample_params(g, options, args.epsilon, args.seed))
@@ -334,8 +344,7 @@ def _config_list(cfg: dict, key: str, default: list) -> list:
 
 #: the JSON values a sweep option of each option type takes (bool is an
 #: int subclass, so types are matched exactly) and how an error names them
-_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-               bool: ((bool,), "true or false")}
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
 
 
 def _check_sections(cfg: dict) -> None:
@@ -406,6 +415,16 @@ def run_sweep(cfg: dict, base: Path) -> list[dict]:
     for method in methods:
         if not isinstance(method, str) or method not in METHODS:
             raise UsageError(f"unknown sweep method {method!r}")
+    # bench/workloads.py still writes "reuse_walks": true until the next
+    # benchmark change (ROADMAP item 1), which drops it and this
+    sample = cfg.get("sample")
+    if isinstance(sample, dict) and "reuse_walks" in sample:
+        sample = dict(sample)
+        reuse = sample.pop("reuse_walks")
+        if reuse is not True and reuse is not None:
+            raise UsageError("sweep config 'sample' option 'reuse_walks' can "
+                             "only be true: independent walks were removed")
+        cfg = {**cfg, "sample": sample}
     _check_sections(cfg)
     # a null option is not given: every estimator sees the key absent
     cfg = {**cfg, **{m: {k: v for k, v in cfg[m].items() if v is not None}

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,9 +65,9 @@ class MCConfig:
 
     ``burn_in=None`` derives 10/(1 - lambda_est) steps from a measured
     spectral estimate and refuses more than ``MAX_DERIVED_BURN_IN``.
-    ``truncation_cap`` limits each hitting walk (in two-step moves);
-    truncated walks bias the estimate down, so their rate is reported
-    instead of corrected.
+    ``truncation_cap`` limits each hitting walk of the mc baseline (in
+    two-step moves); truncated walks bias the estimate down, so their
+    rate is reported instead of corrected.
     """
 
     burn_in: int | None = None
@@ -78,18 +78,15 @@ class MCConfig:
     noise: str = "gaussian"  # or "rademacher"
 
     def to_json(self) -> dict:
-        return {"burn_in": self.burn_in, "horizon": self.horizon,
-                "truncation_cap": self.truncation_cap,
-                "walks_per_target": self.walks_per_target,
-                "seed": self.seed, "noise": self.noise}
+        return asdict(self)
 
 
 def simulate_noisy_degroot(g: WeightedGraph,
                            config: MCConfig) -> DisagreementEstimate:
     """Run the noisy averaging recursion and time-average the weighted
     variance of deviations from the weighted mean after burn-in."""
-    if config.horizon < 1 or config.truncation_cap < 1:
-        raise DomainError("horizon and truncation cap must be >= 1")
+    if config.horizon < 1:
+        raise DomainError("horizon must be >= 1")
     if config.noise not in ("gaussian", "rademacher"):
         raise DomainError(f"unknown noise kind {config.noise!r}")
     require_ergodic(g, "simulation")

@@ -1,8 +1,9 @@
 """Sublinear disagreement estimation by truncated even-length random walks.
 
-A node subset is sampled uniformly without replacement; for each sampled
-node the even-step return probabilities P^{2j}_ii are estimated by
-independent walks, their partial sums approximate the diagonal of the
+A node subset is sampled uniformly without replacement; from each sampled
+node independent walkers take 2(ell - 1) steps, and the share of them
+back at the node after 2j steps estimates the return probability
+P^{2j}_ii. The partial sums of these approximate the diagonal of the
 two-step Laplacian pseudoinverse, and a Horvitz-Thompson scale-up turns
 the subset sum into the global estimate.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,11 +41,8 @@ class SampleParams:
     """Tunables of the walk sampler.
 
     ``ell`` truncates the return-probability series, ``walks_per_length``
-    is the walk count per (node, length) pair, ``node_budget`` the size
-    of the sampled node set. ``reuse_walks`` harvests every even prefix
-    of one long walk instead of running independent walks per length
-    (cheaper by a factor of ell, correlated across lengths, unbiased per
-    length).
+    is the walker count per node (each walker's even prefixes serve every
+    length), ``node_budget`` the size of the sampled node set.
     """
 
     epsilon: float
@@ -53,34 +51,36 @@ class SampleParams:
     walks_per_length: int
     node_budget: int
     seed: int = 0
-    reuse_walks: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "lambda_bound": self.lambda_bound,
-            "ell": self.ell,
-            "walks": self.walks_per_length,
-            "node_budget": self.node_budget,
-            "seed": self.seed,
-            "reuse_walks": self.reuse_walks,
-        }
+        out = asdict(self)
+        out["walks"] = out.pop("walks_per_length")
+        return out
 
 
 def derive_params(n: int, epsilon: float, lambda_bound: float, *,
                   seed: int = 0, ell: int | None = None,
                   walks_per_length: int | None = None,
                   node_budget: int | None = None,
-                  reuse_walks: bool = False) -> SampleParams:
+                  reuse_walks: bool = True) -> SampleParams:
     """Derive (ell, walks, node budget) from (n, epsilon, lambda bound).
 
     ell = ``spectral.truncation_length(eps, lam)`` caps the series
     truncation error at eps/2; walks = ceil(2 ell^2 log(2 n^2 ell)/eps^2)
     is the Hoeffding budget; the node budget is
     ceil(sqrt(n log n)/((1-lam) eps)), clamped to n. Explicit values
-    override their derivation; a derived ell above ``MAX_DERIVED_ELL`` is
-    refused.
+    override their derivation (values below 1 are refused); a derived ell
+    above ``MAX_DERIVED_ELL`` is refused.
+
+    All lengths share one set of walkers, yet each p^{2j} estimate is a
+    mean of ``walks`` iid return indicators, one per walker: Hoeffding
+    bounds each (node, j) pair, and the union bound over them needs no
+    independence. ``reuse_walks`` must be True; ``bench/selftest.py``
+    still passes it until the next benchmark change (ROADMAP item 1).
     """
+    if reuse_walks is not True:
+        raise DomainError("independent walks per length were removed; "
+                          "every length reuses each walker's even prefixes")
     if n < 2:
         raise DomainError(f"need at least 2 nodes, got {n}")
     if epsilon <= 0.0:
@@ -107,11 +107,11 @@ def derive_params(n: int, epsilon: float, lambda_bound: float, *,
         node_budget = int(math.ceil(
             math.sqrt(n) * math.sqrt(math.log(n)) /
             ((1.0 - lambda_bound) * epsilon)))
-    node_budget = min(n, max(1, node_budget))
+    if node_budget < 1:
+        raise DomainError(f"node budget must be >= 1, got {node_budget}")
     return SampleParams(epsilon=epsilon, lambda_bound=lambda_bound, ell=ell,
                         walks_per_length=walks_per_length,
-                        node_budget=node_budget, seed=seed,
-                        reuse_walks=reuse_walks)
+                        node_budget=min(n, node_budget), seed=seed)
 
 
 def estimate_return_probabilities(g: WeightedGraph, node: int,
@@ -120,57 +120,55 @@ def estimate_return_probabilities(g: WeightedGraph, node: int,
                                   ) -> np.ndarray:
     """Estimated even-step return probabilities (p^0, p^2, ..., p^{2(ell-1)}).
 
-    p^0 is 1 by definition. Each length gets its own derived RNG stream,
-    so estimates are independent of scheduling; with walk reuse a single
-    stream per node drives walks of length 2(ell-1) whose even prefixes
-    are scored together.
+    p^0 is 1 by definition. One derived RNG stream per node drives
+    ``walks_per_length`` walkers for 2(ell - 1) steps, and p^{2j} is the
+    share of them at the node after 2j steps, so estimates do not depend
+    on scheduling.
     """
     if not 0 <= node < g.n:
         raise DomainError(f"node {node} out of range")
     if engine is None:
         engine = NeighborSampler(g)
     ell, r = params.ell, params.walks_per_length
-    est = np.zeros(ell)
-    est[0] = 1.0
-    if ell == 1:
-        return est
-    if params.reuse_walks:
-        rng = derive_rng(params.seed, TAG_RETURNS, node, 0)
-        pos = np.full(r, node, dtype=np.int64)
-        for j in range(1, ell):
-            pos = engine.walk(pos, 2, rng)
-            est[j] = np.count_nonzero(pos == node) / r
-        return est
+    est = np.ones(ell)
+    rng = derive_rng(params.seed, TAG_RETURNS, node, 0)
+    pos = np.full(r, node, dtype=np.int64)
     for j in range(1, ell):
-        rng = derive_rng(params.seed, TAG_RETURNS, node, j)
-        pos = np.full(r, node, dtype=np.int64)
-        pos = engine.walk(pos, 2 * j, rng)
+        pos = engine.walk(pos, 2, rng)
         est[j] = np.count_nonzero(pos == node) / r
     return est
 
 
-def _sampled_series_sums(g: WeightedGraph, params: SampleParams
-                         ) -> tuple[np.ndarray, np.ndarray]:
+def _sampled_estimate(g: WeightedGraph, params: SampleParams, method: str,
+                      weighted: bool) -> DisagreementEstimate:
+    """The scale-up (n/|X|) * sum_{i in X} c_i over a node set X drawn
+    uniformly without replacement, where c_i is
+    sum_{j<ell} (p^{2j}_ii - pi_i), times pi_i if ``weighted``.
+    ``diagnostics["stderr"]`` is its Horvitz-Thompson standard error with
+    the finite-population correction, n * sqrt((1 - |X|/n) * s^2 / |X|)
+    for s^2 the sample variance of the c_i."""
+    t0 = time.perf_counter()
     require_ergodic(g, "sampling")
     engine = NeighborSampler(g)
     rng = derive_rng(params.seed, TAG_NODES)
     nodes = np.sort(rng.choice(g.n, size=params.node_budget, replace=False))
     pi = g.stationary()
-    sums = np.empty(len(nodes))
+    contribs = np.empty(len(nodes))
     for k, node in enumerate(nodes):
         est = estimate_return_probabilities(g, int(node), params, engine)
-        sums[k] = float(np.sum(est - pi[node]))
-    return nodes, sums
-
-
-def _scale_up_stderr(n: int, contribs: np.ndarray) -> float:
-    """Standard error of the scale-up (n/|X|) * sum(contribs) over a node
-    set X drawn uniformly without replacement (Horvitz-Thompson, with the
-    finite-population correction): n * sqrt((1 - |X|/n) * s^2 / |X|)."""
-    k = len(contribs)
-    if k < 2:
-        return float("nan")
-    return float(n * math.sqrt((1.0 - k / n) * np.var(contribs, ddof=1) / k))
+        contribs[k] = float(np.sum(est - pi[node]))
+    if weighted:
+        contribs *= pi[nodes]
+    k = len(nodes)
+    stderr = (float(g.n * math.sqrt((1.0 - k / g.n) *
+                                    np.var(contribs, ddof=1) / k))
+              if k > 1 else float("nan"))
+    return DisagreementEstimate(
+        method=method, value=float(g.n / k * contribs.sum()),
+        params=params.to_json(), seed=params.seed,
+        wall_time_s=time.perf_counter() - t0,
+        per_node={int(i): float(c) for i, c in zip(nodes, contribs)},
+        diagnostics={"stderr": stderr})
 
 
 def sample_disagreement(g: WeightedGraph,
@@ -179,35 +177,20 @@ def sample_disagreement(g: WeightedGraph,
 
         (n/|X|) * sum_{i in X} pi_i * sum_{j<ell} (p^{2j}_ii - pi_i)
 
-    ``diagnostics["stderr"]`` is the Horvitz-Thompson standard error of
-    the node draw. The per-node walk noise enters it through the spread
-    of the contributions, discounted by the finite-population factor, so
-    with |X| = n it reads 0.
+    Every p^{2j} comes from the same walkers' even prefixes;
+    ``derive_params`` says why its walk budget still bounds each.
+    ``diagnostics["stderr"]`` covers the node draw. The per-node walk
+    noise enters it through the spread of the contributions, discounted
+    by the finite-population factor, so with |X| = n it reads 0.
     """
-    t0 = time.perf_counter()
-    nodes, sums = _sampled_series_sums(g, params)
-    pi = g.stationary()
-    contribs = pi[nodes] * sums
-    value = float(g.n / len(nodes) * contribs.sum())
-    return DisagreementEstimate(
-        method="sample", value=value, params=params.to_json(),
-        seed=params.seed, wall_time_s=time.perf_counter() - t0,
-        per_node={int(i): float(c) for i, c in zip(nodes, contribs)},
-        diagnostics={"stderr": _scale_up_stderr(g.n, contribs)})
+    return _sampled_estimate(g, params, "sample", weighted=True)
 
 
 def sample_kemeny_two_step(g: WeightedGraph,
                            params: SampleParams) -> DisagreementEstimate:
     """Kemeny constant of the two-step walk by the same sampling scheme,
     without the stationary weighting (a plain trace estimate)."""
-    t0 = time.perf_counter()
-    nodes, sums = _sampled_series_sums(g, params)
-    value = float(g.n / len(nodes) * sums.sum())
-    return DisagreementEstimate(
-        method="sample-kemeny", value=value, params=params.to_json(),
-        seed=params.seed, wall_time_s=time.perf_counter() - t0,
-        per_node={int(i): float(c) for i, c in zip(nodes, sums)},
-        diagnostics={"stderr": _scale_up_stderr(g.n, sums)})
+    return _sampled_estimate(g, params, "sample-kemeny", weighted=False)
 
 
 def estimate_gap_bound(g: WeightedGraph, *, iters: int = 200,

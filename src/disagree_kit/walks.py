@@ -11,8 +11,8 @@ many RNG streams at once, like the batched hitting walks of
 the order ``step`` would draw them and calls ``advance`` once for all
 streams, so seeded results do not depend on the batching (see
 ``dynamics.MC_CHUNK_WALKERS`` for its memory bound). The sampler's
-return-probability walks still call ``step`` once per node and length,
-because ``test_instrument_wraps_every_binding_and_restores_them`` in
+return-probability walks still call ``step`` node by node, because
+``test_instrument_wraps_every_binding_and_restores_them`` in
 ``bench/selftest.py`` pins that path's call counts (4
 ``estimate_return_probabilities`` calls, 32 ``step`` calls); batching it
 waits for a change to the benchmark.

@@ -41,7 +41,7 @@ def test_c2_zachary_all_methods(zachary_path):
 
     t0 = time.perf_counter()
     base = dk.derive_params(g.n, EPS, summary.gap_bound,
-                            walks_per_length=20_000, reuse_walks=True)
+                            walks_per_length=20_000)
     errs = [abs(dk.sample_disagreement(
         g, SampleParams(**{**base.__dict__, "seed": seed})).value - delta)
         / delta for seed in range(20)]
@@ -117,8 +117,7 @@ def test_c5_psfw_kemeny():
     f8 = dk.generate_psfw(8)
     k_true = dk.psfw_kemeny_closed_form(8)
     lam8 = float(np.max(np.abs(dk.psfw_spectrum(8).to_array()[1:])))
-    params = dk.derive_params(f8.n, EPS, lam8, seed=0, walks_per_length=100,
-                              reuse_walks=True)
+    params = dk.derive_params(f8.n, EPS, lam8, seed=0, walks_per_length=100)
     est = dk.sample_kemeny_two_step(f8, params)
     assert abs(est.value - k_true) / k_true <= 0.05
     assert time.perf_counter() - t0 < 600.0
@@ -132,8 +131,7 @@ def test_c5b_sampler_runtime_scales_like_sqrt_n():
     sizes, times = [], []
     for g_it in range(8, 13):
         f = dk.generate_psfw(g_it)
-        params = dk.derive_params(f.n, 0.2, 0.8, seed=1, walks_per_length=20,
-                                  reuse_walks=True)
+        params = dk.derive_params(f.n, 0.2, 0.8, seed=1, walks_per_length=20)
         wall = min(dk.sample_kemeny_two_step(f, params).wall_time_s
                    for _ in range(2))
         sizes.append(f.n)
@@ -153,7 +151,7 @@ def test_c6_delta_constancy_and_log_growth():
         g = dk.generate_ba(n, 2, seed=1)
         lam = dk.estimate_gap_bound(g, iters=300, seed=0)
         base = dk.derive_params(n, 0.3, lam, walks_per_length=400,
-                                node_budget=3_000, reuse_walks=True)
+                                node_budget=3_000)
         vals = [dk.sample_disagreement(
             g, SampleParams(**{**base.__dict__, "seed": s})).value
             for s in range(10)]
@@ -192,7 +190,7 @@ def test_c7_estimator_consistency():
         summary = dk.decompose(g)
         exact = dk.exact_disagreement(g, summary).delta
         params = dk.derive_params(n, EPS, summary.gap_bound, seed=gi,
-                                  walks_per_length=4_000, reuse_walks=True)
+                                  walks_per_length=4_000)
         values = {
             "exact": exact,
             "sample": dk.sample_disagreement(g, params).value,

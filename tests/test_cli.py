@@ -135,8 +135,7 @@ def test_compute_unknown_method_exits_1(tri_path):
 def test_cost_warning_to_stderr(tri_path):
     code, _, err = run_cli([
         "compute", str(tri_path), "sample", "--epsilon", "0.3",
-        "--lambda-bound", "0.9998", "--walks", "1", "--node-budget", "1",
-        "--reuse-walks"])
+        "--lambda-bound", "0.9998", "--walks", "1", "--node-budget", "1"])
     assert code == 0
     assert err == ("warning: derived truncation length ell=26034 implies "
                    "walks of up to 52066 steps; consider --ell or a tighter "
@@ -147,8 +146,7 @@ def test_main_restores_showwarning(tri_path, path5_path):
     original = warnings.showwarning
     code, _, err = run_cli([
         "compute", str(tri_path), "sample", "--epsilon", "0.3",
-        "--lambda-bound", "0.9998", "--walks", "1", "--node-budget", "1",
-        "--reuse-walks"])
+        "--lambda-bound", "0.9998", "--walks", "1", "--node-budget", "1"])
     assert (code, err.startswith("warning:")) == (0, True)
     assert warnings.showwarning is original
     code, _, err = run_cli(["compute", str(path5_path), "exact"])
@@ -181,7 +179,7 @@ def test_kemeny_sample_smoke(tri_path):
     code, stdout, _ = run_cli([
         "kemeny", str(tri_path), "--method", "sample", "--epsilon", "0.25",
         "--lambda-bound", "0.5", "--ell", "6", "--walks", "5000",
-        "--reuse-walks", "--seed", "3"])
+        "--seed", "3"])
     assert code == 0
     assert abs(json.loads(stdout)["result"] - 8.0 / 3.0) < 0.15
 
@@ -194,8 +192,7 @@ def test_sweep_csv_schema(tmp_path, tri_path):
         "methods": ["exact", "sample"],
         "graphs": [{"path": str(tri_path), "name": "tri"},
                    {"family": "psfw", "g": 2, "name": "psfw2"}],
-        "sample": {"lambda_bound": 0.95, "ell": 8, "walks": 2000,
-                   "reuse_walks": True},
+        "sample": {"lambda_bound": 0.95, "ell": 8, "walks": 2000},
     }
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -295,6 +292,14 @@ def test_sweep_non_integer_scalars_are_usage_errors(tmp_path, change):
       "simulate": {"walks_per_target": 5}}, "walks_per_target"),
     ({"methods": ["approx"], "graphs": [{"family": "psfw", "g": 2}],
       "approx": [1]}, "approx"),
+    ({"methods": ["simulate"], "graphs": [{"family": "psfw", "g": 2}],
+      "simulate": {"truncation_cap": 5}}, "truncation_cap"),
+    ({"methods": ["sample"], "graphs": [{"family": "psfw", "g": 2}],
+      "sample": {"lambda_bound": 0.9, "reuse_walks": False}}, "reuse_walks"),
+    ({"methods": ["sample"], "graphs": [{"family": "psfw", "g": 2}],
+      "sample": {"lambda_bound": 0.9, "reuse_walks": 1}}, "reuse_walks"),
+    ({"methods": ["sample"], "graphs": [{"family": "psfw", "g": 2}],
+      "sample": {"lambda_bound": 0.9, "reuse_walks": "yes"}}, "reuse_walks"),
 ])
 def test_sweep_configs_of_the_wrong_shape_are_usage_errors(tmp_path, cfg,
                                                           named):
@@ -319,11 +324,10 @@ _OPTION_TYPES = {
     "ell": int, "walks": int, "node_budget": int, "max_cg_iters": int,
     "burn_in": int, "horizon": int, "truncation_cap": int,
     "walks_per_target": int, "lambda_bound": float, "oversample": float,
-    "kappa": float, "reuse_walks": bool, "allow_bipartite": bool,
+    "kappa": float, "allow_bipartite": bool,
 }
 #: per type, JSON values of another type
-_WRONG_VALUES = {int: ["x", 1.5, True], float: ["x", True],
-                 bool: [1, "yes"]}
+_WRONG_VALUES = {int: ["x", 1.5, True], float: ["x", True]}
 
 
 def test_sweep_option_types_come_from_the_compute_flags():
@@ -367,8 +371,7 @@ def test_sweep_null_options_run_as_not_given(tmp_path):
             "sample": {"lambda_bound": 0.9, "ell": 3, "walks": 50},
             "mc": {"walks_per_target": 20, "truncation_cap": 500}}
     nulls = {**base,
-             "sample": {**base["sample"], "node_budget": None,
-                        "reuse_walks": None},
+             "sample": {**base["sample"], "node_budget": None},
              "approx": {key: None for key in cli.METHODS["approx"].keys},
              "mc": {**base["mc"], "burn_in": None, "horizon": None}}
     values = []
@@ -441,12 +444,12 @@ _FRONT_ENDS = {
     "exact": ([], {},
               lambda g, eps, seed: dk.exact_disagreement(g).delta),
     "sample": (["--lambda-bound", "0.9", "--ell", "6", "--walks", "400",
-                "--node-budget", "5", "--reuse-walks"],
+                "--node-budget", "5"],
                {"lambda_bound": 0.9, "ell": 6, "walks": 400,
-                "node_budget": 5, "reuse_walks": True},
+                "node_budget": 5},
                lambda g, eps, seed: dk.sample_disagreement(g, dk.derive_params(
                    g.n, eps, 0.9, seed=seed, ell=6, walks_per_length=400,
-                   node_budget=5, reuse_walks=True)).value),
+                   node_budget=5)).value),
     "approx": (["--oversample-c", "1.5"], {"oversample": 1.5},
                lambda g, eps, seed: dk.approx_disagreement(
                    g, eps, seed, oversample=1.5).value),
@@ -513,8 +516,7 @@ def test_sweep_warns_about_costly_ell(tmp_path, tri_path):
     cfg_path.write_text(json.dumps({
         "trials": 1, "epsilons": [0.3], "methods": ["sample"],
         "graphs": [{"path": str(tri_path), "name": "tri"}],
-        "sample": {"lambda_bound": 0.9998, "walks": 1, "node_budget": 1,
-                   "reuse_walks": True}}))
+        "sample": {"lambda_bound": 0.9998, "walks": 1, "node_budget": 1}}))
     code, _, err = run_cli(["sweep", str(cfg_path)])
     assert code == 0
     assert "warning:" in err and "ell=26034" in err
@@ -613,6 +615,72 @@ def test_flags_no_method_of_the_command_reads_are_usage_errors(
     assert err == f"error: unrecognized arguments: {' '.join(flag)}\n"
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["compute", "exact", "--walks", "5"], "--walks"),
+    (["compute", "approx", "--lambda-bound", "0.5"], "--lambda-bound"),
+    (["compute", "simulate", "--cap", "7"], "--cap"),
+    (["compute", "mc", "--ell", "3", "--oversample-c", "2"],
+     "--ell, --oversample-c"),
+    (["compute", "sample", "--lambda-bound", "0.5", "--allow-bipartite"],
+     "--allow-bipartite"),
+    (["kemeny", "--method", "exact", "--walks", "5"], "--walks"),
+    (["kemeny", "--method", "closed-form", "--psfw-g", "3", "--ell", "3"],
+     "--ell"),
+])
+def test_flags_the_chosen_method_does_not_read_are_usage_errors(
+        tri_path, argv, flags):
+    command, method, *rest = argv
+    code, stdout, err = run_cli([command, str(tri_path), method, *rest])
+    method = rest[0] if command == "kemeny" else method
+    assert code == 1 and stdout == ""
+    assert err == f"error: {command} {method} does not read {flags}\n"
+
+
+def test_the_reuse_walks_switch_is_gone(tri_path):
+    for command, method in (("compute", ["sample"]),
+                            ("kemeny", ["--method", "sample"])):
+        code, stdout, err = run_cli([command, str(tri_path), *method,
+                                     "--lambda-bound", "0.5",
+                                     "--reuse-walks"])
+        assert code == 1 and stdout == ""
+        assert err == "error: unrecognized arguments: --reuse-walks\n"
+
+
+def test_a_sweep_may_still_say_reuse_walks_true(tmp_path):
+    """The one walk mode's old switch, as the benchmark's config spells it:
+    true or null runs the same cells as no key."""
+    base = {"methods": ["sample"], "trials": 2, "epsilons": [0.5, 0.3],
+            "graphs": [{"family": "psfw", "g": 2}],
+            "sample": {"lambda_bound": 0.9, "ell": 4, "walks": 50}}
+    outputs = []
+    for reuse in ("absent", True, None):
+        cfg = json.loads(json.dumps(base))
+        if reuse != "absent":
+            cfg["sample"]["reuse_walks"] = reuse
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, stdout, err = run_cli(["sweep", str(cfg_path), "--output",
+                                     "json"])
+        assert code == 0, err
+        rows = json.loads(stdout)
+        for row in rows:
+            assert row.pop("wall_time_s") > 0.0
+        outputs.append(rows)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0]) == 4
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_a_given_node_budget_below_one_is_refused(tri_path, budget):
+    with pytest.raises(dk.DomainError, match="node budget"):
+        dk.derive_params(10, 0.25, 0.5, node_budget=budget)
+    code, stdout, err = run_cli(["compute", str(tri_path), "sample",
+                                 "--lambda-bound", "0.5", "--node-budget",
+                                 str(budget)])
+    assert code == 2 and stdout == ""
+    assert err == f"error: node budget must be >= 1, got {budget}\n"
+
+
 def test_default_compute_records_pin_their_params(tri_path):
     """Options not given take the library defaults, and a switch reads
     false."""
@@ -627,7 +695,7 @@ def test_default_compute_records_pin_their_params(tri_path):
         "sample --lambda-bound 0.5": {
             "ell": 2, "epsilon": 0.25, "lambda_bound": 0.5,
             "lambda_bound_source": "given", "node_budget": 3,
-            "reuse_walks": False, "seed": 0, "walks": 459},
+            "seed": 0, "walks": 459},
     }
     for method, params in expected.items():
         code, stdout, err = run_cli(["compute", str(tri_path),

@@ -52,6 +52,33 @@ def test_derive_params_validation():
 def test_node_budget_clamped():
     p = dk.derive_params(5, 0.25, 0.9)
     assert p.node_budget == 5
+    assert dk.derive_params(5, 0.25, 0.9, node_budget=50).node_budget == 5
+
+
+def test_independent_walks_per_length_are_refused():
+    with pytest.raises(dk.DomainError, match="independent walks"):
+        dk.derive_params(10, 0.25, 0.5, reuse_walks=False)
+    assert dk.derive_params(10, 0.25, 0.5, reuse_walks=True) == \
+        dk.derive_params(10, 0.25, 0.5)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 5])
+def test_sampler_derives_one_stream_per_sampled_node(monkeypatch, ell):
+    """The node draw takes one stream, and each sampled node one for all
+    its lengths."""
+    calls = []
+    real = dk.sampler.derive_rng
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dk.sampler, "derive_rng", counting)
+    g = dk.load_bundled("zachary")
+    p = dk.derive_params(g.n, 0.25, 0.9, ell=ell, walks_per_length=7,
+                         node_budget=4)
+    dk.sample_disagreement(g, p)
+    assert len(calls) == 1 + 4
 
 
 def test_return_probability_zero_length_is_one():
@@ -104,7 +131,7 @@ def test_even_length_parity_on_star():
 def test_reuse_walks_unbiased():
     g = triangle()
     p = dk.derive_params(3, 0.25, 0.5, ell=3, walks_per_length=200_000,
-                         seed=5, reuse_walks=True)
+                         seed=5)
     est = dk.estimate_return_probabilities(g, 0, p)
     assert est[1] == pytest.approx(return_probability_oracle(g, 0, 1),
                                    abs=0.01)
@@ -125,7 +152,7 @@ def test_sample_disagreement_deterministic():
 def test_sample_disagreement_consistency_limit():
     g = triangle()
     p = dk.derive_params(3, 0.25, 0.5, ell=6, walks_per_length=300_000,
-                         node_budget=3, seed=9, reuse_walks=True)
+                         node_budget=3, seed=9)
     est = dk.sample_disagreement(g, p)
     assert est.value == pytest.approx(8.0 / 9.0, abs=0.01)
     payload = est.to_json()
@@ -142,7 +169,7 @@ def test_sample_rejects_bipartite():
 def test_sample_kemeny_triangle_limit():
     g = triangle()
     p = dk.derive_params(3, 0.25, 0.5, ell=6, walks_per_length=300_000,
-                         node_budget=3, seed=10, reuse_walks=True)
+                         node_budget=3, seed=10)
     est = dk.sample_kemeny_two_step(g, p)
     assert est.value == pytest.approx(8.0 / 3.0, abs=0.02)
 
@@ -150,8 +177,7 @@ def test_sample_kemeny_triangle_limit():
 def test_sample_kemeny_psfw4_vs_exact():
     f = dk.generate_psfw(4)
     lam = float(np.max(np.abs(dk.psfw_spectrum(4).to_array()[1:])))
-    p = dk.derive_params(f.n, 0.25, lam, walks_per_length=400, seed=11,
-                         reuse_walks=True)
+    p = dk.derive_params(f.n, 0.25, lam, walks_per_length=400, seed=11)
     est = dk.sample_kemeny_two_step(f, p)
     exact = dk.exact_kemeny_two_step(dk.decompose(f))
     assert abs(est.value - exact) / exact < 0.05
@@ -188,8 +214,7 @@ def test_sample_stderr_is_horvitz_thompson_without_replacement():
 
     def run(budget, seed):
         params = dk.derive_params(g.n, 0.25, 0.9, seed=seed, ell=6,
-                                  walks_per_length=400, node_budget=budget,
-                                  reuse_walks=True)
+                                  walks_per_length=400, node_budget=budget)
         return dk.sample_disagreement(g, params)
 
     est = run(8, 0)
