@@ -87,14 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_method_flags(p: argparse.ArgumentParser, methods) -> None:
-    """``--epsilon``, ``--seed``, ``--estimate-gap`` (sample's alternative
-    to ``--lambda-bound``) and the flags of the option keys ``methods``
-    read; a flag two keys share is added once."""
-    p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--estimate-gap", action="store_true")
-    for flag, kind in dict.fromkeys(OPTIONS[key] for method in methods
-                                    for key in METHODS[method].keys):
+    """The flags of the run and option keys ``methods`` read; a flag two
+    keys share is added once."""
+    for flag, kind in dict.fromkeys(
+            OPTIONS[key] for method in methods
+            for key in METHODS[method].run + METHODS[method].keys):
         if kind is bool:
             p.add_argument(flag, action="store_true")
         else:
@@ -138,8 +135,12 @@ def _sample_record_params(est, options: dict) -> dict:
 
 #: option key -> (its ``compute``/``kemeny`` flag, its value type); a bool
 #: option is a switch that defaults to False. Sample's ``walks`` and mc's
-#: ``walks_per_target`` share ``--walks``.
+#: ``walks_per_target`` share ``--walks``. The first three are run keys,
+#: which no sweep section takes: a sweep sets epsilon and seed per cell.
 OPTIONS = {
+    "epsilon": ("--epsilon", float),
+    "seed": ("--seed", int),
+    "estimate_gap": ("--estimate-gap", bool),
     "allow_bipartite": ("--allow-bipartite", bool),
     "lambda_bound": ("--lambda-bound", float),
     "ell": ("--ell", int),
@@ -156,12 +157,13 @@ OPTIONS = {
 
 
 class Method(NamedTuple):
-    """An estimator, called as (graph, options, epsilon, seed), and the
-    ``OPTIONS`` keys its options may hold; a missing key takes the
-    library's default."""
+    """An estimator, called as (graph, options, epsilon, seed), the
+    ``OPTIONS`` keys its options may hold, and the run keys it reads; a
+    key not given takes the library's default (epsilon 0.25, seed 0)."""
 
     estimate: Callable
     keys: tuple[str, ...]
+    run: tuple[str, ...] = ()
 
 
 #: method name -> its estimator and option keys. Estimators are looked up
@@ -173,16 +175,19 @@ METHODS = {
         ("allow_bipartite",)),
     "sample": Method(lambda g, opts, eps, seed: sampler.sample_disagreement(
         g, _sample_params(g, opts, eps, seed)),
-        ("lambda_bound", "ell", "walks", "node_budget")),
+        ("lambda_bound", "ell", "walks", "node_budget"),
+        ("epsilon", "seed", "estimate_gap")),
     "approx": Method(lambda g, opts, eps, seed: sparsify.approx_disagreement(
-        g, eps, seed, **opts), ("oversample", "kappa", "max_cg_iters")),
+        g, eps, seed, **opts), ("oversample", "kappa", "max_cg_iters"),
+        ("epsilon", "seed")),
     "mc": Method(lambda g, opts, eps, seed: dynamics.simulate_mc_disagreement(
         g, dynamics.MCConfig(seed=seed, **opts)),
-        ("burn_in", "horizon", "truncation_cap", "walks_per_target")),
+        ("burn_in", "horizon", "truncation_cap", "walks_per_target"),
+        ("seed",)),
     "simulate": Method(lambda g, opts, eps, seed:
                        dynamics.simulate_noisy_degroot(
                            g, dynamics.MCConfig(seed=seed, **opts)),
-                       ("burn_in", "horizon")),
+                       ("burn_in", "horizon"), ("seed",)),
 }
 
 #: the sweep's view of ``METHODS``: its exact cells reuse one up-front
@@ -194,13 +199,12 @@ SWEEP_METHODS = {
             g, _sample_params(g, opts, eps, seed, _SWEEP_ADVICE)))}
 
 
-def _method_options(args, keys: tuple[str, ...] | None = None) -> dict:
-    """The ``compute``/``kemeny`` flags of the option ``keys`` (by default
-    those of ``args.method``) as options; an int or float flag not given
-    is left out. Any other option flag given is a usage error, since the
-    method would ignore it."""
-    if keys is None:
-        keys = METHODS[args.method].keys
+def _method_options(args, method: Method) -> dict:
+    """The ``compute``/``kemeny`` flags of ``method``'s option keys as
+    options; an int or float flag not given is left out. Any other flag
+    of ``OPTIONS`` given is a usage error, since the method would ignore
+    it. ``args.epsilon`` and ``args.seed`` are set to the values the
+    method reads; the seed is None where it reads none."""
     if args.method == "sample":
         if args.lambda_bound is not None and args.estimate_gap:
             raise UsageError("give either --lambda-bound or --estimate-gap")
@@ -208,13 +212,15 @@ def _method_options(args, keys: tuple[str, ...] | None = None) -> dict:
             raise UsageError("sampling needs --lambda-bound or --estimate-gap")
     values = {flag: getattr(args, flag[2:].replace("-", "_"), None)
               for flag, _ in OPTIONS.values()}
-    read = {OPTIONS[key][0] for key in keys}
+    read = {OPTIONS[key][0] for key in method.run + method.keys}
     stray = [flag for flag, value in values.items() if flag not in read
              and value is not None and value is not False]
     if stray:
         raise UsageError(f"{args.command} {args.method} does not read "
                          f"{', '.join(stray)}")
-    options = {key: values[OPTIONS[key][0]] for key in keys}
+    args.epsilon = 0.25 if args.epsilon is None else args.epsilon
+    args.seed = (args.seed or 0) if "seed" in method.run else None
+    options = {key: values[OPTIONS[key][0]] for key in method.keys}
     return {k: v for k, v in options.items() if v is not None}
 
 
@@ -280,7 +286,7 @@ def cmd_gen(args) -> int:
 
 def cmd_compute(args) -> int:
     g = load_edge_list(args.graph)
-    options = _method_options(args)
+    options = _method_options(args, METHODS[args.method])
     t0 = time.perf_counter()
     est = METHODS[args.method].estimate(g, options, args.epsilon, args.seed)
     if args.method == "exact":
@@ -295,8 +301,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_kemeny(args) -> int:
-    options = _method_options(
-        args, METHODS["sample"].keys if args.method == "sample" else ())
+    reads = METHODS["sample"] if args.method == "sample" else Method(None, ())
+    options = _method_options(args, reads)
     if args.method == "closed-form":
         if args.psfw_g is None:
             raise UsageError("kemeny --method closed-form needs --psfw-g")
@@ -352,7 +358,7 @@ def _check_sections(cfg: dict) -> None:
     each value of its ``OPTIONS`` type or null (not given): a
     misspelt key would otherwise be ignored silently, a mistyped value
     fail deep inside an estimator."""
-    for method, (_, keys) in SWEEP_METHODS.items():
+    for method, (_, keys, _) in SWEEP_METHODS.items():
         section = cfg.get(method, {})
         if not isinstance(section, dict):
             raise UsageError(f"sweep config {method!r} must be an object, "

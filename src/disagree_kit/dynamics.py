@@ -143,7 +143,9 @@ def simulate_noisy_degroot(g: WeightedGraph,
     stderr = (float(np.std(batch_sums, ddof=1) / math.sqrt(len(batch_sums)))
               if len(batch_sums) > 1 else float("nan"))
     return DisagreementEstimate(
-        method="simulate", value=value, params=config.to_json(),
+        method="simulate", value=value,
+        params={k: v for k, v in config.to_json().items()
+                if k not in ("truncation_cap", "walks_per_target")},
         seed=config.seed, wall_time_s=time.perf_counter() - t0,
         diagnostics={"burn_in_used": burn, "stderr": stderr})
 

@@ -32,6 +32,9 @@ from .walks import NeighborSampler
 #: stay in a core's L2 cache instead of streaming through memory
 CG_BLOCK_BYTES = 1 << 19
 
+#: the chance, at most, that approx's sketch is off by more than 1 +- eps
+FAILURE_PROB = 0.05
+
 
 @dataclass
 class SparsifiedLaplacian:
@@ -57,20 +60,12 @@ class SparsifiedLaplacian:
         return deg
 
     @property
-    def d_sum(self) -> float:
-        return float(self.degrees.sum())
-
-    @property
     def m(self) -> int:
         return len(self.edge_w)
 
     @property
     def w_min(self) -> float:
         return float(self.edge_w.min())
-
-    @property
-    def w_max(self) -> float:
-        return float(self.edge_w.max())
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -81,12 +76,6 @@ class SparsifiedLaplacian:
         vals = np.concatenate([-self.edge_w, -self.edge_w,
                                self.edge_w, self.edge_w])
         return sp.csr_matrix((vals, (i, j)), shape=(self.n, self.n))
-
-    def incidence(self) -> sp.csr_matrix:
-        rows = np.repeat(np.arange(self.m), 2)
-        cols = np.stack([self.edge_u, self.edge_v], axis=1).ravel()
-        vals = np.tile([1.0, -1.0], self.m)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.m, self.n))
 
     @cached_property
     def lambda_min_positive(self) -> float:
@@ -175,9 +164,10 @@ def laplacian_solve(lap: SparsifiedLaplacian, y: np.ndarray, kappa: float, *,
     A batch of k columns is laid out by ``cg_blocks``. With width =
     CG_BLOCK_BYTES // (8 n), the k columns are split into w =
     min(worker_count(), max(1, k // max(2, width))) contiguous ranges,
-    one per thread (the calling thread takes the first), and a range of
-    l columns into max(1, l // max(16, width)) consecutive blocks, each
-    solved to its own stop. Step sizes, stopping test and re-projection
+    one per thread (the calling thread takes the first; a single range
+    starts no thread pool), and a range of l columns into
+    max(1, l // max(16, width)) consecutive blocks, each solved to its
+    own stop. Step sizes, stopping test and re-projection
     are per column, so the layout leaves x bit-identical, and the
     iteration count, the maximum over blocks, is that of one solve on all
     k columns. A block that hits ``max_iters`` raises ConvergenceError
@@ -204,9 +194,12 @@ def laplacian_solve(lap: SparsifiedLaplacian, y: np.ndarray, kappa: float, *,
                           b[:, lo:hi], scale[lo:hi]) for lo, hi in blocks]
 
     ranges = cg_blocks(n, k, worker_count())
-    with ThreadPoolExecutor(max_workers=max(1, len(ranges) - 1)) as pool:
-        rest = pool.map(solve, ranges[1:])
-        xs, iters = zip(*sum(rest, solve(ranges[0])))
+    if len(ranges) == 1:
+        solved = solve(ranges[0])
+    else:  # the pool's ranges are submitted before the first is solved
+        with ThreadPoolExecutor(max_workers=len(ranges) - 1) as pool:
+            solved = sum(pool.map(solve, ranges[1:]), solve(ranges[0]))
+    xs, iters = zip(*solved)
     # one block is returned as solved: a copy would double its memory
     x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
     return (x[:, 0] if single else x), max(iters)
@@ -287,20 +280,27 @@ def _cg_block(mat: sp.csr_matrix, inv_diag: np.ndarray, lam_min: float,
     return x, it
 
 
-def jl_dimension(n: int, epsilon: float) -> int:
-    return int(math.ceil(24.0 * math.log(max(n, 2)) / epsilon ** 2))
+def solver_tolerance(lap: SparsifiedLaplacian, pi: np.ndarray,
+                     epsilon: float) -> float:
+    """The CG tolerance kappa at which the solve moves approx's value by a
+    factor within (1 +- t)^2, t = sqrt(1 + eps) - 1: inside 1 +- eps, the
+    solver's share of the (1 +- eps)^3 sandwich.
 
-
-def solver_tolerance(lap: SparsifiedLaplacian, epsilon: float) -> float:
-    """Global solver tolerance: the per-node bound
-
-        (eps/3) ((dsum - d_i)/dsum) sqrt((1-eps) w_min / ((1+eps) n^4 w_max))
-
-    minimized over i by substituting the largest degree."""
-    deg_term = (lap.d_sum - lap.degrees.max()) / lap.d_sum
-    root = math.sqrt((1.0 - epsilon) * lap.w_min /
-                     ((1.0 + epsilon) * lap.n ** 4 * lap.w_max))
-    return epsilon / 3.0 * deg_term * root
+    The value is d_sum ||A X||_F^2, A = D_pi (I - 1 pi^T), so with X* the
+    exact solution it moves by a factor within (1 +- t)^2 for
+    t = ||A (X - X*)||_F / ||A X*||_F. Each column e of X - X* and x* of X*
+    is orthogonal to 1. So ||(I - 1 pi^T) e||^2 = ||e||^2 +
+    n ((pi - 1/n).e)^2 <= c_P ||e||^2 with c_P = 1 + n ||pi - 1/n||^2,
+    and by ``laplacian_solve``'s contract ||e||^2 <= ||e||_L^2 / lambda_2
+    <= kappa^2 ||x*||_L^2 / lambda_2; while ||A x*||^2 >= pi_min^2 ||x*||^2
+    >= pi_min^2 ||x*||_L^2 / lambda_max. Summed over the columns,
+    t <= (pi_max / pi_min) sqrt(c_P lambda_max / lambda_2) kappa, which
+    still holds with Mohar's ``lambda_min_positive`` for lambda_2 and twice
+    the largest degree of L for lambda_max."""
+    t = math.sqrt(1.0 + epsilon) - 1.0
+    c_p = 1.0 + lap.n * np.sum((pi - 1.0 / lap.n) ** 2)
+    return float(t * pi.min() / pi.max() / np.sqrt(
+        c_p * 2.0 * lap.degrees.max() / lap.lambda_min_positive))
 
 
 def sketch_row_signs(seed: int, row: int, m: int) -> np.ndarray:
@@ -333,9 +333,18 @@ def approx_disagreement(g: WeightedGraph, epsilon: float, seed: int = 0, *,
 
     where the k rows of Ztilde solve the sparsified Laplacian against the
     sketched incidence rows. The value is the mean over the rows of
-    k d_sum sum_i pi_i^2 (z_ki - (Ztilde pi)_k)^2, and
-    ``diagnostics["stderr"]`` is their standard deviation over sqrt(k):
-    it covers the sketch's noise only, not the sparsifier's.
+    k d_sum sum_i pi_i^2 (z_ki - (Ztilde pi)_k)^2: Hutchinson's estimate
+    (1/k) sum_k s_k^T C s_k, with Rademacher s_k, of the trace of a
+    positive semidefinite C, the sparsified delta. For such an estimate,
+    k = ceil(6 ln(2/p) / eps^2) rows give a relative error of at most eps
+    with probability >= 1 - p, whatever n is (Roosta-Khorasani & Ascher,
+    FoCM 2015, Thm 1); the failure probability p is FAILURE_PROB = 0.05
+    (``diagnostics["failure_prob"]``). The CG tolerance kappa of
+    ``solver_tolerance`` bounds the solve's change of the sum, not of each
+    term, to a factor within 1 +- eps. So neither bound covers a node: the
+    ``per_node`` terms carry no guarantee of their own.
+    ``diagnostics["stderr"]`` is the rows' standard deviation over
+    sqrt(k): it covers the sketch's noise only, not the sparsifier's.
     """
     t0 = time.perf_counter()
     if not 0.0 < epsilon < 1.0:
@@ -343,8 +352,8 @@ def approx_disagreement(g: WeightedGraph, epsilon: float, seed: int = 0, *,
     lap = sparsify_two_step(g, min(epsilon, 0.5), seed,
                             oversample=oversample)
     pi = g.stationary()
-    k = jl_dimension(g.n, epsilon)
-    kappa_used = solver_tolerance(lap, epsilon) if kappa is None else kappa
+    k = math.ceil(6.0 * math.log(2.0 / FAILURE_PROB) / epsilon ** 2)
+    kappa_used = solver_tolerance(lap, pi, epsilon) if kappa is None else kappa
     # the sketch is freed once solved, and the solution is reduced in
     # place: no further n x k array is made
     x, iters = laplacian_solve(lap, _sketched_rows(lap, k, seed), kappa_used,
@@ -364,4 +373,5 @@ def approx_disagreement(g: WeightedGraph, epsilon: float, seed: int = 0, *,
         # the block solver shares one iteration count across the k solves
         diagnostics={"s": lap.sample_count, "m_sparse": lap.m, "k": k,
                      "kappa": kappa_used, "cg_iterations": [iters],
+                     "failure_prob": FAILURE_PROB,
                      "stderr": float(per_row.std(ddof=1) / math.sqrt(k))})

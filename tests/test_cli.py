@@ -312,7 +312,7 @@ def test_sweep_configs_of_the_wrong_shape_are_usage_errors(tmp_path, cfg,
 def test_sweep_sections_take_every_option_key():
     """The section check accepts every key a sweep cell reads."""
     cfg = {method: {key: None for key in keys}
-           for method, (_, keys) in cli.SWEEP_METHODS.items()}
+           for method, (_, keys, _) in cli.SWEEP_METHODS.items()}
     cli._check_sections(cfg)
     assert set(cli.SWEEP_METHODS) == set(cli.METHODS)
     with pytest.raises(dk.UsageError, match="allow_bipartite"):
@@ -326,23 +326,28 @@ _OPTION_TYPES = {
     "walks_per_target": int, "lambda_bound": float, "oversample": float,
     "kappa": float, "allow_bipartite": bool,
 }
+#: run key -> the value type of its flag; a sweep sets these per cell
+_RUN_TYPES = {"epsilon": float, "seed": int, "estimate_gap": bool}
 #: per type, JSON values of another type
 _WRONG_VALUES = {int: ["x", 1.5, True], float: ["x", True]}
 
 
 def test_sweep_option_types_come_from_the_compute_flags():
     assert {key: kind for key, (_, kind) in cli.OPTIONS.items()} == \
-        _OPTION_TYPES
-    assert {key for _, keys in cli.METHODS.values()
+        {**_RUN_TYPES, **_OPTION_TYPES}
+    assert {key for _, keys, _ in cli.METHODS.values()
             for key in keys} == set(_OPTION_TYPES)
+    assert {key for _, _, run in cli.METHODS.values()
+            for key in run} == set(_RUN_TYPES)
     # each method's compute flags parse to its options, of these types
     parser = cli.build_parser()
-    for method, (_, keys) in cli.METHODS.items():
+    for method, (_, keys, _) in cli.METHODS.items():
         argv = ["compute", "g.tsv", method]
         for key in keys:
             flag, kind = cli.OPTIONS[key]
             argv += [flag] if kind is bool else [flag, "3"]
-        options = cli._method_options(parser.parse_args(argv))
+        options = cli._method_options(parser.parse_args(argv),
+                                      cli.METHODS[method])
         assert {key: type(value) for key, value in options.items()} == \
             {key: _OPTION_TYPES[key] for key in keys}
     # an integer is a number too
@@ -352,7 +357,7 @@ def test_sweep_option_types_come_from_the_compute_flags():
 
 @pytest.mark.parametrize("method, key, value", [
     (method, key, value)
-    for method, (_, keys) in cli.SWEEP_METHODS.items() for key in keys
+    for method, (_, keys, _) in cli.SWEEP_METHODS.items() for key in keys
     for value in _WRONG_VALUES[_OPTION_TYPES[key]]])
 def test_sweep_option_values_of_the_wrong_type_are_usage_errors(
         tmp_path, method, key, value):
@@ -469,12 +474,15 @@ _FRONT_ENDS = {
 def test_compute_sweep_cell_and_library_agree(zachary_path, method):
     flags, options, library = _FRONT_ENDS[method]
     eps, seed = 0.5, 13
+    run = {"epsilon": ["--epsilon", str(eps)], "seed": ["--seed", str(seed)]}
     code, stdout, err = run_cli(["compute", str(zachary_path), method,
-                                 "--epsilon", str(eps), "--seed", str(seed),
+                                 *(flag for key in cli.METHODS[method].run
+                                   if key in run for flag in run[key]),
                                  *flags])
     assert code == 0, err
     payload = json.loads(stdout)
-    assert payload["method"] == method and payload["seed"] == seed
+    assert payload["method"] == method
+    assert payload["seed"] == (None if method == "exact" else seed)
     estimate_key = "delta" if method == "exact" else "delta_hat"
     assert payload[estimate_key] == payload["result"]
     g = dk.load_edge_list(zachary_path)
@@ -626,6 +634,15 @@ def test_flags_no_method_of_the_command_reads_are_usage_errors(
     (["kemeny", "--method", "exact", "--walks", "5"], "--walks"),
     (["kemeny", "--method", "closed-form", "--psfw-g", "3", "--ell", "3"],
      "--ell"),
+    (["compute", "exact", "--seed", "5"], "--seed"),
+    (["compute", "exact", "--epsilon", "0.3", "--estimate-gap"],
+     "--epsilon, --estimate-gap"),
+    (["compute", "approx", "--estimate-gap"], "--estimate-gap"),
+    (["compute", "mc", "--epsilon", "0.3"], "--epsilon"),
+    (["compute", "simulate", "--epsilon", "0.3", "--seed", "2"], "--epsilon"),
+    (["kemeny", "--method", "exact", "--seed", "5"], "--seed"),
+    (["kemeny", "--method", "closed-form", "--psfw-g", "3", "--epsilon",
+      "0.3"], "--epsilon"),
 ])
 def test_flags_the_chosen_method_does_not_read_are_usage_errors(
         tri_path, argv, flags):
@@ -684,14 +701,14 @@ def test_a_given_node_budget_below_one_is_refused(tri_path, budget):
 def test_default_compute_records_pin_their_params(tri_path):
     """Options not given take the library defaults, and a switch reads
     false."""
-    mc_params = {"burn_in": None, "horizon": 100_000, "noise": "gaussian",
-                 "seed": 0, "truncation_cap": 1_000,
-                 "walks_per_target": 1_000}
+    simulate_params = {"burn_in": None, "horizon": 100_000,
+                       "noise": "gaussian", "seed": 0}
     expected = {
         "exact": {"allow_bipartite": False},
         "approx": {"epsilon": 0.25, "oversample": 1.0, "seed": 0},
-        "mc": mc_params,
-        "simulate": mc_params,
+        "mc": {**simulate_params, "truncation_cap": 1_000,
+               "walks_per_target": 1_000},
+        "simulate": simulate_params,
         "sample --lambda-bound 0.5": {
             "ell": 2, "epsilon": 0.25, "lambda_bound": 0.5,
             "lambda_bound_source": "given", "node_budget": 3,

@@ -3,15 +3,20 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import disagree_kit as dk
 from disagree_kit import sparsify
-from disagree_kit.sparsify import (CG_BLOCK_BYTES, _sketched_rows,
-                                   cg_blocks, jl_dimension, sketch_row_signs,
+from disagree_kit.sparsify import (CG_BLOCK_BYTES, FAILURE_PROB,
+                                   _sketched_rows, cg_blocks, sketch_row_signs,
                                    solver_tolerance)
 from helpers import cg_block_oracle, random_connected_graph, triangle
+
+
+def _sketch_rows_for(eps):
+    """approx's row count: ceil(6 ln(2/delta) / eps^2), delta = 0.05."""
+    return math.ceil(6 * math.log(2 / 0.05) / eps ** 2)
 
 
 def _oversample_for(g, eps, s_target):
@@ -171,11 +176,11 @@ def test_laplacian_solve_energy_norm_contract_split_block(monkeypatch):
 def _gsw_sketch_block(n=400, eps=0.5):
     g = dk.generate(dk.GeneratorSpec("gsw", {"n": n, "p": 0.5}, 0))
     lap = dk.sparsify_two_step(g, eps, seed=0)
-    q = _sketched_rows(lap, jl_dimension(n, eps), 0)
+    q = _sketched_rows(lap, 576, 0)
     # 576 columns of width 163: three blocks on one thread, one on each of two
-    assert cg_blocks(n, q.shape[1], 1) == [[(0, 192), (192, 384), (384, 576)]]
-    assert cg_blocks(n, q.shape[1], 2) == [[(0, 288)], [(288, 576)]]
-    return lap, q, solver_tolerance(lap, eps)
+    assert cg_blocks(n, 576, 1) == [[(0, 192), (192, 384), (384, 576)]]
+    assert cg_blocks(n, 576, 2) == [[(0, 288)], [(288, 576)]]
+    return lap, q, solver_tolerance(lap, g.stationary(), eps)
 
 
 def test_laplacian_solve_split_is_bit_identical(monkeypatch):
@@ -200,6 +205,25 @@ def test_laplacian_solve_equals_one_cg_block_on_all_columns(monkeypatch,
         lap.matrix, 1.0 / lap.degrees, lap.lambda_min_positive, kappa,
         max_iters, q, np.linalg.norm(q, axis=0))
     monkeypatch.setenv("DISAGREE_THREADS", threads)
+    x, it = dk.laplacian_solve(lap, q, kappa)
+    assert np.array_equal(x, direct)
+    assert it == direct_it
+
+
+def test_a_single_range_starts_no_thread_pool(monkeypatch):
+    lap, q, kappa = _gsw_sketch_block()
+    q = np.ascontiguousarray(q[:, :89])
+    # approx's 89 columns: one range and one block, even on two threads
+    assert cg_blocks(lap.n, 89, 2) == [[(0, 89)]]
+    direct, direct_it = sparsify._cg_block(
+        lap.matrix, 1.0 / lap.degrees, lap.lambda_min_positive, kappa,
+        max(200, 40 * lap.n), q, np.linalg.norm(q, axis=0))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single range started a thread pool")
+
+    monkeypatch.setattr(sparsify, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("DISAGREE_THREADS", "2")
     x, it = dk.laplacian_solve(lap, q, kappa)
     assert np.array_equal(x, direct)
     assert it == direct_it
@@ -288,41 +312,60 @@ def test_sketch_rows_are_deterministic_signs():
     assert not np.array_equal(a, sketch_row_signs(7, 4, 100))
 
 
-def test_jl_concentration_on_exact_vectors():
-    eps = 0.25
-    g = random_connected_graph(64, 0.15, seed=6)
+def _sketch_value(x, pi):
+    """The value approx reads off a solution x, over d_sum:
+    ||D_pi (I - 1 pi^T) x||_F^2."""
+    return float(np.sum((pi[:, None] * (x - pi @ x)) ** 2))
+
+
+def _sparsified_delta(g, pinv):
+    """d_sum sum_i pi_i^2 (e_i - pi)^T pinv (e_i - pi): the trace the
+    sketch estimates."""
+    pi = g.stationary()
+    centred = np.eye(g.n) - pi  # row i: e_i - pi
+    return g.d_sum * float(np.sum(
+        pi ** 2 * np.einsum("ij,jk,ik->i", centred, pinv, centred)))
+
+
+@pytest.mark.parametrize("eps, graph_seed", [(0.5, 6), (0.25, 7)])
+def test_the_sketch_covers_the_trace_in_all_but_a_delta_share_of_seeds(
+        eps, graph_seed):
+    """With exact solves, approx's row count puts the estimate within
+    (1 +- eps) of the sparsified delta in at least a 1 - delta share
+    of seeds."""
+    g = random_connected_graph(30, 0.25, seed=graph_seed, weighted=True)
     lap = dk.sparsify_two_step(g, eps, seed=0)
-    dense = lap.matrix.toarray()
-    pinv = np.linalg.pinv(dense, hermitian=True)
-    half = np.sqrt(lap.edge_w)[:, None] * lap.incidence().toarray()
-    vectors = half @ pinv  # column i: the exact solved sketch input
-    k = jl_dimension(64, eps)
-    q = np.stack([sketch_row_signs(99, row, lap.m) for row in range(k)])
-    q /= math.sqrt(k)
-    sketched = q @ vectors
-    rng = np.random.default_rng(1)
-    bad = 0
-    for _ in range(200):
-        i, j = rng.choice(64, size=2, replace=False)
-        true_d = np.sum((vectors[:, i] - vectors[:, j]) ** 2)
-        got_d = np.sum((sketched[:, i] - sketched[:, j]) ** 2)
-        if not (1 - eps) * true_d <= got_d <= (1 + eps) * true_d:
-            bad += 1
-    assert bad / 200 <= 1.0 / 64
+    pinv = np.linalg.pinv(lap.matrix.toarray(), hermitian=True)
+    trace = _sparsified_delta(g, pinv)
+    pi = g.stationary()
+    k = _sketch_rows_for(eps)
+    seeds = 100
+    inside = sum(
+        abs(g.d_sum * _sketch_value(pinv @ _sketched_rows(lap, k, seed), pi)
+            - trace) <= eps * trace for seed in range(seeds))
+    assert inside >= (1.0 - FAILURE_PROB) * seeds
+
+
+@pytest.mark.parametrize("n", [25, 200])
+def test_the_sketch_row_count_depends_on_epsilon_alone(n):
+    g = random_connected_graph(n, 0.3 if n < 100 else 0.05, seed=14)
+    for eps, k in ((0.5, 89), (0.3, 246), (0.25, 355)):
+        est = dk.approx_disagreement(g, eps, seed=3)
+        assert est.diagnostics["k"] == _sketch_rows_for(eps) == k
+        assert est.diagnostics["failure_prob"] == FAILURE_PROB == 0.05
 
 
 def test_sketch_solve_sandwich_on_quadratic_forms():
-    # solver tolerance from the printed bound keeps the end-to-end
-    # distortion of C(i) inside (1 +- eps)^2 for nearly every node
+    # approx's row count and the aggregate solver tolerance keep the
+    # value within (1 +- eps)^2 of the sparsified delta
     eps = 0.25
     for seed in range(3):
         g = random_connected_graph(40, 0.3, seed=80 + seed)
         lap = dk.sparsify_two_step(g, eps, seed=seed)
-        dense = lap.matrix.toarray()
-        pinv = np.linalg.pinv(dense, hermitian=True)
+        pinv = np.linalg.pinv(lap.matrix.toarray(), hermitian=True)
         pi = g.stationary()
-        kappa = solver_tolerance(lap, eps)
-        k = jl_dimension(g.n, eps)
+        kappa = solver_tolerance(lap, pi, eps)
+        k = _sketch_rows_for(eps)
         q = np.empty((g.n, k))
         ws = np.sqrt(lap.edge_w) / math.sqrt(k)
         for row in range(k):
@@ -332,31 +375,49 @@ def test_sketch_solve_sandwich_on_quadratic_forms():
                          - np.bincount(lap.edge_v, weights=signed,
                                        minlength=g.n))
         x, _ = dk.laplacian_solve(lap, q, kappa)
-        z = x.T
-        inside = 0
-        value = 0.0
-        for i in range(g.n):
-            e = np.zeros(g.n)
-            e[i] = 1.0
-            c_true = (e - pi) @ pinv @ (e - pi)
-            c_hat = np.sum((z @ (e - pi)) ** 2)
-            if (1 - eps) ** 2 * c_true <= c_hat <= (1 + eps) ** 2 * c_true:
-                inside += 1
-            value += pi[i] ** 2 * c_hat
-        assert inside >= g.n - 3
+        value = g.d_sum * _sketch_value(x, pi)
+        delta = _sparsified_delta(g, pinv)
+        assert (1 - eps) ** 2 * delta <= value <= (1 + eps) ** 2 * delta
         # same seed, so approx_disagreement draws this sparsifier and sketch
         assert dk.approx_disagreement(g, eps, seed=seed).value == pytest.approx(
-            g.d_sum * value, rel=1e-10)
+            value, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 40), p=st.floats(0.15, 0.6),
+       graph_seed=st.integers(0, 10_000), weighted=st.booleans(),
+       eps=st.floats(0.01, 0.99), k=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_solver_tolerance_bounds_the_change_in_the_value(
+        n, p, graph_seed, weighted, eps, k, seed):
+    """At solver_tolerance's kappa, the solve moves the value by a factor
+    within [(1 - t)^2, (1 + t)^2], t = sqrt(1 + eps) - 1."""
+    g = random_connected_graph(n, p, graph_seed, weighted=weighted)
+    lap = dk.sparsify_two_step(g, 0.5, seed=seed)
+    pi = g.stationary()
+    q = _sketched_rows(lap, k, seed)
+    exact = _sketch_value(
+        np.linalg.pinv(lap.matrix.toarray(), hermitian=True) @ q, pi)
+    assume(exact > 1e-9 * np.sum(q * q))
+    x, _ = dk.laplacian_solve(lap, q, solver_tolerance(lap, pi, eps))
+    t = math.sqrt(1.0 + eps) - 1.0
+    assert (1 - t) ** 2 <= _sketch_value(x, pi) / exact <= (1 + t) ** 2
 
 
 def test_solver_tolerance_formula():
-    lap = dk.sparsify_two_step(triangle(), 0.25, seed=0)
+    g = random_connected_graph(12, 0.4, seed=3, weighted=True)
+    lap = dk.sparsify_two_step(g, 0.25, seed=0)
     eps = 0.25
-    expected = (eps / 3.0
-                * (lap.d_sum - lap.degrees.max()) / lap.d_sum
-                * math.sqrt((1 - eps) * lap.w_min /
-                            ((1 + eps) * 3 ** 4 * lap.w_max)))
-    assert solver_tolerance(lap, eps) == pytest.approx(expected, rel=1e-12)
+    pi = g.stationary()
+    c_p = 1 + 12 * np.sum((pi - 1 / 12) ** 2)
+    lam_max = 2 * lap.degrees.max()
+    expected = ((math.sqrt(1 + eps) - 1) * pi.min() / pi.max()
+                / math.sqrt(c_p * lam_max / lap.lambda_min_positive))
+    assert solver_tolerance(lap, pi, eps) == pytest.approx(expected,
+                                                           rel=1e-12)
+    # the eigenvalue bounds it uses are bounds
+    vals = np.linalg.eigvalsh(lap.matrix.toarray())
+    assert lap.lambda_min_positive <= vals[1] and vals[-1] <= lam_max
 
 
 def test_approx_stderr_is_the_spread_of_the_sketch_rows():
@@ -364,10 +425,10 @@ def test_approx_stderr_is_the_spread_of_the_sketch_rows():
     g = random_connected_graph(40, 0.25, seed=17, weighted=True)
     est = dk.approx_disagreement(g, eps, seed=seed)
     lap = dk.sparsify_two_step(g, eps, seed=seed)
-    k = jl_dimension(g.n, eps)
-    x, _ = dk.laplacian_solve(lap, _sketched_rows(lap, k, seed),
-                              solver_tolerance(lap, eps))
+    k = _sketch_rows_for(eps)
     pi = g.stationary()
+    x, _ = dk.laplacian_solve(lap, _sketched_rows(lap, k, seed),
+                              solver_tolerance(lap, pi, eps))
     per_row = [k * g.d_sum * sum(pi[i] ** 2 * (row[i] - row @ pi) ** 2
                                  for i in range(g.n)) for row in x.T]
     assert np.mean(per_row) == pytest.approx(est.value, rel=1e-12)
@@ -440,7 +501,8 @@ def test_approx_estimate_nonnegative_contributions():
     g = random_connected_graph(25, 0.3, seed=14)
     est = dk.approx_disagreement(g, 0.3, seed=3)
     assert all(v >= 0.0 for v in est.per_node.values())
-    assert est.diagnostics["k"] == jl_dimension(25, 0.3)
+    assert est.diagnostics["k"] == 246
     payload = est.to_json()
     assert payload["method"] == "approx"
-    assert {"s", "k", "kappa", "cg_iterations"} <= set(payload["diagnostics"])
+    assert {"s", "k", "kappa", "cg_iterations",
+            "failure_prob"} <= set(payload["diagnostics"])
