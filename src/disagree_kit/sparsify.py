@@ -42,7 +42,7 @@ class SparsifiedLaplacian:
 
     Rows of the (implicit) incidence matrix orient each edge from
     ``edge_u`` to ``edge_v``; ``sample_count`` records how many two-step
-    paths built it and ``epsilon`` the distortion it targets.
+    paths built it.
     """
 
     n: int
@@ -50,7 +50,6 @@ class SparsifiedLaplacian:
     edge_v: np.ndarray
     edge_w: np.ndarray
     sample_count: int
-    epsilon: float
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -142,8 +141,7 @@ def sparsify_two_step(g: WeightedGraph, epsilon: float, seed: int = 0, *,
         eu = (uniq // g.n).astype(np.int64)
         ev = (uniq % g.n).astype(np.int64)
         if len(uniq) and not component_roots(g.n, eu, ev).any():
-            return SparsifiedLaplacian(g.n, eu, ev, acc, sample_count=s,
-                                       epsilon=epsilon)
+            return SparsifiedLaplacian(g.n, eu, ev, acc, sample_count=s)
         s *= 2
     raise ConvergenceError(
         f"sparsifier stayed disconnected after {max_retries} retries")

@@ -16,18 +16,22 @@ computed on the first read of a summary's ``eigenvalues`` or
 ``gap_bound``, and the eigenvectors by a full ``eigh`` on the first read
 of ``eigenvectors``.
 
-Memory: M is built by row blocks into LAPACK's rectangular full packed
-storage, n(n + 1)/2 float64 numbers, which ``dpftrf`` factors and
-``dpftri`` inverts in place, so ``decompose`` holds 4n(n + 1) bytes for
-it: 16 MiB at n = 2048, 1.6 GB at ``DENSE_NODE_CAP`` (computed, not
-run). ``dpftri`` forms the whole inverse, where the diagonal alone
-would do. The eigenvalue and eigenvector routes are not built this way:
-on gsw n = 2048 the ``eigvalsh`` route peaked about two n x n arrays
-above the interpreter's base and the ``eigh`` route about five.
+Memory: M is built straight into LAPACK's rectangular full packed
+storage, n(n + 1)/2 float64 numbers: psi psi^T first, then the sparse
+pattern of S^2, formed by row blocks. ``dpftrf`` factors M = L L^T and
+``dtftri`` inverts L in place, so ``decompose`` holds 4n(n + 1) bytes
+for it: 16 MiB at n = 2048, 1.6 GB at ``DENSE_NODE_CAP`` (computed, not
+run). diag(M^-1) is read off as the squared column norms of L^-1, a row
+at a time; the product L^-T L^-1 is never formed. The eigenvalue and
+eigenvector routes are not built this way: on gsw n = 2048 the
+``eigvalsh`` route peaked about two n x n arrays above the interpreter's
+base and the ``eigh`` route about five.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -51,7 +55,8 @@ _NEAR_UNIT = 1e-12
 _TRACE_GATE = 1e8
 #: ``decompose`` requires the leading eigenvalue within this of 1.
 _LAMBDA1_TOL = 1e-8
-#: ``_m_packed`` builds M in row blocks of about this many bytes (512 KiB)
+#: ``_m_packed`` forms S^2 in row blocks of about this many bytes of
+#: values (512 KiB)
 _BLOCK_BYTES = 1 << 19
 
 
@@ -263,30 +268,76 @@ def _m_packed(g: WeightedGraph) -> np.ndarray:
     """M = I - S^2 + psi psi^T in LAPACK's rectangular full packed format
     (TRANSR = 'N', UPLO = 'L'), as a C-order array of k = ceil(n/2) rows
     and n + 1 - n % 2 columns: row c holds M[k + c - odd, k:k + c + 1 - odd]
-    and then M[c, c:], with odd = n % 2. M is built a row block at a time,
-    the sparse S^2 and the outer product are never whole, and since S is
-    symmetric bit for bit so is M: the packed lower triangle equals the
-    upper one."""
+    and then M[c, c:], with odd = n % 2.
+
+    psi psi^T is written straight into those slices, then the lower
+    triangle of the sparse pattern of S^2 is overwritten with
+    ((-s2_ij) + delta_ij) + psi_i psi_j; off that pattern M is psi_i psi_j
+    alone. S^2 is formed a row block at a time, sized so that a block
+    holds at most about ``_BLOCK_BYTES`` of values. Since S is symmetric
+    bit for bit so is M: the packed lower triangle equals the upper one."""
     s_mat = normalized_adjacency(g)
     psi = np.sqrt(g.stationary())
     n = g.n
     k, odd = (n + 1) // 2, n % 2
-    packed = np.empty((k, n + 1 - odd))
-    rows = min(n, max(1, _BLOCK_BYTES // (8 * n)))
-    buffer = np.empty((rows, n))
+    cols = n + 1 - odd
+    packed = np.empty((k, cols))
+    for c in range(k):
+        np.multiply(psi[c], psi[c:], out=packed[c, c + 1 - odd:])
+        np.multiply(psi[k + c - odd], psi[k:k + c + 1 - odd],
+                    out=packed[c, :c + 1 - odd])
+    flat = packed.reshape(-1)
+    # row i of S^2 has at most min(n, sum of i's neighbours' degrees)
+    # entries
+    counts = np.diff(s_mat.indptr)
+    reach = np.add.reduceat(counts[s_mat.indices], s_mat.indptr[:-1])
+    rows = max(1, _BLOCK_BYTES // (8 * min(n, int(reach.max()))))
     for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        block = buffer[:hi - lo]
-        (s_mat[lo:hi] @ s_mat).toarray(out=block)
-        np.negative(block, out=block)
-        block[np.arange(hi - lo), np.arange(lo, hi)] += 1.0
-        block += np.outer(psi[lo:hi], psi)
-        for i, row in enumerate(block, lo):
-            if i < k:
-                packed[i, i + 1 - odd:] = row[i:]
-            else:
-                packed[i - k + odd, :i - k + 1] = row[k:i + 1]
+        block = s_mat[lo:lo + rows] @ s_mat
+        i = np.repeat(np.arange(lo, lo + block.shape[0]),
+                      np.diff(block.indptr))
+        lower = block.indices <= i
+        i, j, s2 = i[lower], block.indices[lower], block.data[lower]
+        # lower entry (i, j): column j of the leading part when j < k,
+        # else row i - k + odd of the trailing triangle
+        flat[np.where(j < k, j * cols + i + 1 - odd,
+                      (i - k + odd) * cols + j - k)] = (
+            ((-s2) + (i == j)) + psi[i] * psi[j])
     return packed
+
+
+@functools.cache
+def _lapack_dtftri():
+    """LAPACK's ``dtftri`` from scipy's ``cython_lapack`` capsule, which
+    scipy.linalg.lapack does not wrap: void(char *transr, char *uplo,
+    char *diag, int *n, double *a, int *info)."""
+    # imported here: scipy.linalg adds ~0.1 s and ~8 MB to every CLI run
+    from scipy.linalg import cython_lapack
+    capsule = cython_lapack.__pyx_capi__["dtftri"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    int_p = ctypes.POINTER(ctypes.c_int)
+    signature = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p,
+                                 ctypes.c_char_p, int_p, ctypes.c_void_p,
+                                 int_p)
+    return signature(get_pointer(capsule, get_name(capsule)))
+
+
+def _dtftri(n: int, a: np.ndarray) -> int:
+    """Invert in place the lower triangular factor of order n held in
+    ``a`` (rectangular full packed, TRANSR = 'N', UPLO = 'L', non-unit
+    diagonal); return LAPACK's info."""
+    if (a.dtype != np.float64 or not a.flags.c_contiguous
+            or not a.flags.writeable or a.size != n * (n + 1) // 2):
+        raise ValueError("dtftri needs a writeable contiguous float64 "
+                         "array of n(n + 1)/2 numbers")
+    info = ctypes.c_int(0)
+    _lapack_dtftri()(b"N", b"L", b"N", ctypes.byref(ctypes.c_int(n)),
+                     a.ctypes.data, ctypes.byref(info))
+    return info.value
 
 
 def _m_inverse_diagonal(g: WeightedGraph) -> np.ndarray:
@@ -296,13 +347,18 @@ def _m_inverse_diagonal(g: WeightedGraph) -> np.ndarray:
     On a connected non-bipartite graph psi = sqrt(pi) spans the kernel
     of I - S^2, so M is positive definite and
     M^-1 = pinv(I - S^2) + psi psi^T: the pseudoinverse diagonal is
-    diag(M^-1) - pi. M is factored (``dpftrf``) and inverted (``dpftri``)
-    in place in the packed array of ``_m_packed``, which holds n(n + 1)/2
-    numbers where a full matrix holds n^2. A failed factorisation raises
-    ``DomainError``.
+    diag(M^-1) - pi. M = L L^T is factored (``dpftrf``) in the packed
+    array of ``_m_packed``, which holds n(n + 1)/2 numbers where a full
+    matrix holds n^2, and L is inverted there in place (``dtftri``).
+    M^-1 = L^-T L^-1, so diag(M^-1)_i is the squared norm of column i of
+    L^-1, summed a packed row at a time: row c holds column c of L^-1
+    from the diagonal down after its first c + 1 - odd entries, which are
+    row c - odd of the trailing triangle (nodes k, k + 1, ...). The
+    product L^-T L^-1 that ``dpftri`` would form is never needed. A
+    failed factorisation or inversion raises ``DomainError``.
     """
     # imported here: scipy.linalg adds ~0.1 s and ~8 MB to every CLI run
-    from scipy.linalg.lapack import dpftrf, dpftri
+    from scipy.linalg.lapack import dpftrf
     n = g.n
     packed = _m_packed(g)
     chol, info = dpftrf(n, packed.reshape(-1), transr="N", uplo="L",
@@ -312,17 +368,22 @@ def _m_inverse_diagonal(g: WeightedGraph) -> np.ndarray:
             f"I - S^2 + psi psi^T is not positive definite (its leading "
             f"minor of order {info} is not); the graph is near-bipartite "
             "or its data is inconsistent")
-    inv, info = dpftri(n, chol, transr="N", uplo="L", overwrite_a=1)
+    info = _dtftri(n, chol)
     if info != 0:
-        raise DomainError(f"inverting M from its Cholesky factor failed "
-                          f"(LAPACK dpftri info={info})")
-    # M^-1's diagonal: node c < k at [c, c + 1 - odd], node k + c - odd
-    # at [c, c - odd]
-    inv = inv.reshape(packed.shape)
-    odd = n % 2
-    top = np.arange(len(inv))
-    bottom = top[odd:]
-    return np.concatenate([inv[top, top + 1 - odd], inv[bottom, bottom - odd]])
+        raise DomainError(f"inverting the Cholesky factor of M failed "
+                          f"(LAPACK dtftri info={info})")
+    inv = chol.reshape(packed.shape)
+    k, odd = len(inv), n % 2
+    diag = np.empty(n)
+    trailing = np.zeros(inv.shape[1])
+    squares = np.empty(inv.shape[1])
+    for c, row in enumerate(inv):
+        split = c + 1 - odd
+        np.square(row, out=squares)
+        diag[c] = squares[split:].sum()
+        trailing[:split] += squares[:split]
+    diag[k:] = trailing[:n - k]
+    return diag
 
 
 def exact_disagreement(g: WeightedGraph,

@@ -6,10 +6,11 @@ powers, components from set expansion, bipartiteness from odd closed
 walks. The two simulator oracles are the plain loops the batched
 simulators must reproduce bit for bit: one target, one step at a time.
 The M oracle assembles M = I - S^2 + psi psi^T as whole arrays, the
-per-entry arithmetic the row-block builder must reproduce bit for bit,
-and packs it with LAPACK's own ``dtrttf``. The CG oracle is the block
-loop that runs its stop test on every iteration, whose iterates the
-solver must reproduce bit for bit.
+per-entry arithmetic the packed builder must reproduce bit for bit,
+and packs it with LAPACK's own ``dtrttf``; the diag(M^-1) oracle
+inverts that M whole. The CG oracle is the block loop that runs its
+stop test on every iteration, whose iterates the solver must reproduce
+bit for bit.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ def m_matrix_oracle(g) -> np.ndarray:
 
 def m_inverse_diagonal_oracle(g) -> np.ndarray:
     """diag(M^-1) with M assembled whole, packed by ``dtrttf``, factored
-    and inverted by the LAPACK calls of ``spectral``, and unpacked by
+    by ``dpftrf``, inverted whole by ``dpftri`` (``spectral`` inverts only
+    the factor and sums its squared columns), and unpacked by
     ``dtfttr``."""
     packed, info = dtrttf(m_matrix_oracle(g), transr="N", uplo="L")
     assert info == 0

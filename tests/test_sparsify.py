@@ -483,7 +483,7 @@ def test_lambda_min_bound_lies_below_lambda_2(n, p, graph_seed, weighted,
                                               seed):
     g = random_connected_graph(n, p, graph_seed, weighted=weighted)
     own = dk.SparsifiedLaplacian(g.n, g.edge_u, g.edge_v, g.edge_w,
-                                 sample_count=0, epsilon=0.5)
+                                 sample_count=0)
     for lap in (own, dk.sparsify_two_step(g, 0.5, seed=seed)):
         lambda_2 = np.linalg.eigvalsh(lap.matrix.toarray())[1]
         assert 0.0 < lap.lambda_min_positive <= lambda_2

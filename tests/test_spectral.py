@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg.lapack
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import disagree_kit as dk
@@ -272,13 +272,43 @@ def test_exact_paths_run_no_eigh_and_eigenvectors_run_it_once(monkeypatch):
 def test_row_block_m_equals_the_whole_assembly(n, p, graph_seed, weighted,
                                                data):
     g = random_connected_graph(n, p, graph_seed, weighted=weighted)
+    whole = dk.spectral._m_inverse_diagonal(g)
     # several blocks of ``rows`` rows, the last one partial
     rows = data.draw(st.integers(2, n - 1).filter(lambda r: n % r),
                      label="rows")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dk.spectral, "_BLOCK_BYTES", 8 * n * rows)
         d = dk.spectral._m_inverse_diagonal(g)
-    assert np.array_equal(d, m_inverse_diagonal_oracle(g))
+    assert np.array_equal(d, whole)
+    # the oracle inverts M whole (dpftri): the sums differ in rounding
+    assert np.allclose(d, m_inverse_diagonal_oracle(g), rtol=1e-13, atol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 40), p=st.floats(0.3, 0.9),
+       graph_seed=st.integers(0, 10_000), weighted=st.booleans())
+@example(n=3, p=0.9, graph_seed=0, weighted=False)
+@example(n=4, p=0.9, graph_seed=0, weighted=True)
+def test_diagonal_sums_the_squared_columns_of_the_inverse_factor(
+        n, p, graph_seed, weighted):
+    g = random_connected_graph(n, p, graph_seed, weighted=weighted)
+    factors = []
+    real = dk.spectral._dtftri
+
+    def recording(order, a):
+        factors.append(a.copy())
+        info = real(order, a)
+        factors.append(a.copy())
+        return info
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dk.spectral, "_dtftri", recording)
+        d = dk.spectral._m_inverse_diagonal(g)
+    chol, inv = (np.tril(scipy.linalg.lapack.dtfttr(
+        n, a, transr="N", uplo="L")[0]) for a in factors)
+    assert np.allclose(inv @ chol, np.eye(n), rtol=0, atol=1e-10)
+    # n positive squares summed in another order
+    assert np.allclose(d, (inv * inv).sum(axis=0), rtol=1e-13, atol=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -327,6 +357,21 @@ def test_failed_cholesky_raises_domain_error(monkeypatch):
         dk.exact_disagreement(triangle())
     with pytest.raises(dk.DomainError, match="not positive definite"):
         dk.decompose(triangle())
+
+
+def test_failed_inversion_raises_domain_error(monkeypatch):
+    monkeypatch.setattr(dk.spectral, "_dtftri", lambda n, a: 3)
+    with pytest.raises(dk.DomainError, match="dtftri info=3"):
+        dk.exact_disagreement(triangle())
+    with pytest.raises(dk.DomainError, match="dtftri info=3"):
+        dk.decompose(triangle())
+
+
+def test_dtftri_refuses_a_buffer_of_the_wrong_size_or_layout():
+    with pytest.raises(ValueError, match=r"n\(n \+ 1\)/2"):
+        dk.spectral._dtftri(3, np.ones(5))
+    with pytest.raises(ValueError, match=r"n\(n \+ 1\)/2"):
+        dk.spectral._dtftri(3, np.ones(12)[::2])
 
 
 def test_decompose_raises_above_the_node_cap(monkeypatch):
