@@ -1,4 +1,4 @@
-"""Sparsified two-step Laplacians, a projected CG solver, and the
+"""Sparsified two-step Laplacians, a Laplacian solver, and the
 sketch-and-solve disagreement estimator.
 
 The two-step Laplacian is estimated without ever forming the dense
@@ -7,6 +7,14 @@ d_sum/(2s) to its endpoint pair, which is an unbiased Monte-Carlo
 construction of D - D(D^{-1}A)^2 (self-loops cancel and are dropped).
 Quadratic forms in the pseudoinverse are then read off a random-sign
 sketch whose rows are recovered with a Laplacian solver.
+
+The solver has two paths. Where the sparsified Laplacian stays sparse
+under elimination of low-degree vertices (the paper's planar-like
+models), it is solved exactly by Gaussian elimination in rounds of
+independent low-degree vertices (``SparsifiedLaplacian.elimination``);
+the Schur complement of a Laplacian is again a Laplacian. Where that
+elimination would fill in (hubs, expanders), or its solution fails the
+energy-norm certificate, Jacobi-preconditioned block CG solves it.
 """
 
 from __future__ import annotations
@@ -34,6 +42,59 @@ CG_BLOCK_BYTES = 1 << 19
 
 #: the chance, at most, that approx's sketch is off by more than 1 +- eps
 FAILURE_PROB = 0.05
+
+#: elimination takes only vertices with at most this many neighbours; a
+#: vertex's fill is at most MAX_DEGREE (MAX_DEGREE - 1) / 2 edges
+MAX_DEGREE = 32
+
+#: elimination is abandoned for CG once fewer than this share of the
+#: vertices left have at most MAX_DEGREE neighbours (hub-heavy graphs)
+LOW_DEGREE_SHARE = 0.75
+
+
+@dataclass(frozen=True)
+class EliminationRound:
+    """One round of ``SparsifiedLaplacian.elimination``: the independent
+    set ``sel`` of vertices it eliminates, their reciprocal weighted degrees
+    ``inv_d`` in the Schur complement they leave, their neighbours ``nbrs``
+    (all of them kept) and the edge weights between the two, a
+    len(sel) x len(nbrs) matrix."""
+
+    sel: np.ndarray
+    inv_d: np.ndarray
+    nbrs: np.ndarray
+    weights: sp.csr_matrix
+
+
+@dataclass(frozen=True)
+class Elimination:
+    """Gaussian elimination of a connected Laplacian in ``rounds``, with the
+    last vertices ``rest`` factored densely: ``rest_pinv`` is the
+    pseudoinverse of their Schur complement. An abandoned elimination keeps
+    the rounds it completed and has no ``rest``."""
+
+    rounds: list[EliminationRound]
+    rest: np.ndarray | None = None
+    rest_pinv: np.ndarray | None = None
+
+    @property
+    def complete(self) -> bool:
+        return self.rest is not None
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """For a complete elimination, the mean-zero solution of
+        L x = b - mean(b), column by column:
+        forward substitution (one sparse product per round), the dense block,
+        then backward substitution in reverse order."""
+        work = b - b.mean(axis=0)
+        for r in self.rounds:
+            work[r.nbrs] += r.weights.T @ (work[r.sel] * r.inv_d[:, None])
+        x = np.zeros_like(work)
+        x[self.rest] = self.rest_pinv @ work[self.rest]
+        for r in reversed(self.rounds):
+            x[r.sel] = (work[r.sel] + r.weights @ x[r.nbrs]) * r.inv_d[:, None]
+        x -= x.mean(axis=0)
+        return x
 
 
 @dataclass
@@ -104,6 +165,85 @@ class SparsifiedLaplacian:
             raise DomainError("the sparsified graph is disconnected")
         return 2.0 * self.w_min / (self.n * ecc)
 
+    @cached_property
+    def elimination(self) -> Elimination:
+        """Exact Gaussian elimination of L in rounds, kept only while it
+        stays sparse.
+
+        Each round eliminates the vertices with at most MAX_DEGREE
+        neighbours whose key (neighbour count, id) is below that of every
+        such neighbour: an independent set, as in multiple-minimum-degree
+        ordering (George & Liu, SIAM Review 1989). Eliminating v drops its
+        edges and adds w_a w_b / d_v to each pair (a, b) of its neighbours,
+        so the graph left is the Laplacian of the Schur complement. Once at
+        most MAX_DEGREE + 1 vertices are left they are factored as one
+        dense block: their Schur complement tends to a clique, which would
+        give up one vertex a round.
+
+        The elimination is abandoned, keeping the rounds before, where
+        fewer than LOW_DEGREE_SHARE of the vertices left have at most
+        MAX_DEGREE neighbours, or a Schur complement has more edges than L:
+        the fill of such graphs cannot be bounded in advance."""
+        n = self.n
+        u, v, w = self.edge_u, self.edge_v, self.edge_w
+        ids = np.arange(n)
+        rounds: list[EliminationRound] = []
+        while True:
+            count = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+            # a Schur complement of a connected L is connected: while two
+            # vertices or more are left, each has an edge
+            alive = count > 0
+            left = int(np.count_nonzero(alive))
+            if left <= MAX_DEGREE + 1:
+                # scipy's LAPACK, as the exact route's: numpy's runs on a
+                # second BLAS thread pool, whose spinning threads slowed the
+                # next exact decompose on 2 cores by half
+                from scipy.linalg import pinvh
+                pos = np.cumsum(alive) - 1
+                dense = np.zeros((left, left))
+                dense[pos[u], pos[v]] = -w
+                dense[pos[v], pos[u]] = -w
+                dense[np.diag_indices(left)] = -dense.sum(axis=1)
+                return Elimination(rounds, np.flatnonzero(alive),
+                                   pinvh(dense))
+            sel = alive & (count <= MAX_DEGREE)
+            if np.count_nonzero(sel) < LOW_DEGREE_SHARE * left:
+                return Elimination(rounds)
+            key = count * n + ids
+            sel[np.where(key[u] < key[v], v, u)[sel[u] & sel[v]]] = False
+            # the edges at an eliminated vertex, grouped by it: at most one
+            # end of an edge is eliminated
+            at_u = sel[u]
+            inc = at_u | sel[v]
+            ev = np.where(at_u, u, v)[inc]
+            order = np.argsort(ev, kind="stable")
+            ev = ev[order]
+            ea = np.where(at_u, v, u)[inc][order]
+            ew = w[inc][order]
+            elim = np.flatnonzero(sel)
+            per = np.bincount(ev, minlength=n)[elim]
+            ptr = np.concatenate(([0], np.cumsum(per)))
+            inv_d = 1.0 / np.add.reduceat(ew, ptr[:-1])
+            # fill: each edge pairs with the later edges of its group
+            group = np.repeat(np.arange(len(elim)), per)
+            later = ptr[group + 1] - np.arange(len(ev)) - 1
+            first = np.repeat(np.arange(len(ev)), later)
+            second = first + 1 + np.arange(len(first)) - np.repeat(
+                np.cumsum(later) - later, later)
+            kept = ~inc
+            a = np.concatenate([u[kept], ea[first]])
+            b = np.concatenate([v[kept], ea[second]])
+            pairs, slot = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                                    return_inverse=True)
+            w = np.bincount(slot, weights=np.concatenate(
+                [w[kept], ew[first] * ew[second] * inv_d[group[first]]]))
+            if len(w) > self.m:
+                return Elimination(rounds)
+            u, v = pairs // n, pairs % n
+            nbrs, col = np.unique(ea, return_inverse=True)
+            rounds.append(EliminationRound(elim, inv_d, nbrs, sp.csr_matrix(
+                (ew, col, ptr), shape=(len(elim), len(nbrs)))))
+
 
 def sparsify_two_step(g: WeightedGraph, epsilon: float, seed: int = 0, *,
                       oversample: float = 1.0,
@@ -151,15 +291,24 @@ def laplacian_solve(lap: SparsifiedLaplacian, y: np.ndarray, kappa: float, *,
                     max_iters: int | None = None
                     ) -> tuple[np.ndarray, int]:
     """Approximately solve L x = y with a mean-zero solution such that
-    ||x - pinv(L) y||_L <= kappa ||pinv(L) y||_L.
+    ||x - pinv(L) y||_L <= kappa ||pinv(L) y||_L. Accepts a single vector
+    or a column-stacked batch; returns (x, iterations).
 
-    Jacobi-preconditioned conjugate gradients on the mean-zero subspace.
-    The stopping rule is sufficient for the energy-norm contract: it
-    uses ||r||^2 <= kappa^2 * lambda_min * (2 y.x - x.L.x), the bracket
-    being a monotone lower bound on ||pinv(L) y||_L^2. Accepts a single
-    vector or a column-stacked batch; returns (x, iterations).
+    Each column must pass one certificate: ||r||^2 <= kappa^2 * lambda_min
+    * (2 y.x - x.L.x) for the mean-zero residual r, the bracket being a
+    lower bound on ||pinv(L) y||_L^2 and ``lambda_min_positive`` one on
+    lambda_2. It is sufficient for the energy-norm contract.
 
-    A batch of k columns is laid out by ``cg_blocks``. With width =
+    Where ``lap.elimination`` is complete, x is its exact solution, checked
+    with one product L x, and the iteration count is 0. Where it was
+    abandoned, or any column fails the certificate, Jacobi-preconditioned
+    conjugate gradients on the mean-zero subspace solve all columns, with
+    the certificate as their stopping rule; their x and iteration count do
+    not depend on whether elimination was tried. A zero column always passes
+    the certificate, so CG runs only on a nonzero batch and reports at
+    least one iteration.
+
+    CG lays a batch of k columns out by ``cg_blocks``. With width =
     CG_BLOCK_BYTES // (8 n), the k columns are split into w =
     min(worker_count(), max(1, k // max(2, width))) contiguous ranges,
     one per thread (the calling thread takes the first; a single range
@@ -178,7 +327,41 @@ def laplacian_solve(lap: SparsifiedLaplacian, y: np.ndarray, kappa: float, *,
     scale = np.linalg.norm(b, axis=0)
     if np.any(np.abs(b.sum(axis=0)) > 1e-8 * np.maximum(scale, 1.0)):
         raise DomainError("right-hand side must be orthogonal to ones")
+    worker_count()  # a malformed DISAGREE_THREADS is refused on either path
+    x, iters = _eliminated(lap, b, kappa), 0
+    if x is None:
+        x, iters = _cg_solve(lap, b, kappa, max_iters)
+    return (x[:, 0] if single else x), iters
+
+
+def _eliminated(lap: SparsifiedLaplacian, b: np.ndarray,
+                kappa: float) -> np.ndarray | None:
+    """The elimination path of ``laplacian_solve``: its solution where
+    ``lap.elimination`` is complete and every column passes the
+    certificate, otherwise None."""
+    if not lap.elimination.complete:
+        return None
+    x = lap.elimination.solve(b)
+    lx = lap.matrix @ x
+    r = b - lx
+    r -= r.mean(axis=0)
+    passed = _certified(b, x, lx, r, kappa, lap.lambda_min_positive)
+    return x if passed.all() else None
+
+
+def _certified(b: np.ndarray, x: np.ndarray, lx: np.ndarray, r: np.ndarray,
+               kappa: float, lam_min: float) -> np.ndarray:
+    """Per column, whether ||r||^2 <= kappa^2 lam_min (2 b.x - x.lx)."""
+    lower = 2.0 * np.einsum("ij,ij->j", b, x) - np.einsum("ij,ij->j", x, lx)
+    np.maximum(lower, 0.0, out=lower)
+    return np.einsum("ij,ij->j", r, r) <= kappa * kappa * lam_min * lower
+
+
+def _cg_solve(lap: SparsifiedLaplacian, b: np.ndarray, kappa: float,
+              max_iters: int | None = None) -> tuple[np.ndarray, int]:
+    """The CG path of ``laplacian_solve`` on the columns of ``b``."""
     n, k = b.shape
+    scale = np.linalg.norm(b, axis=0)
     # cached properties are read here, not first in the workers, so that
     # each is computed once
     mat = lap.matrix
@@ -200,7 +383,7 @@ def laplacian_solve(lap: SparsifiedLaplacian, y: np.ndarray, kappa: float, *,
     xs, iters = zip(*solved)
     # one block is returned as solved: a copy would double its memory
     x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
-    return (x[:, 0] if single else x), max(iters)
+    return x, max(iters)
 
 
 def cg_blocks(n: int, k: int, threads: int) -> list[list[tuple[int, int]]]:
@@ -263,12 +446,7 @@ def _cg_block(mat: sp.csr_matrix, inv_diag: np.ndarray, lam_min: float,
         np.multiply(inv_diag[:, None], r, out=z)
         rz_new = np.einsum("ij,ij->j", r, z)
         if np.any(~done & (rz_new <= testable)):
-            lower = 2.0 * np.einsum("ij,ij->j", b, x) - np.einsum(
-                "ij,ij->j", x, lx)
-            np.maximum(lower, 0.0, out=lower)
-            thresh_sq = kappa * kappa * lam_min * lower
-            res_sq = np.einsum("ij,ij->j", r, r)
-            done = done | (res_sq <= thresh_sq)
+            done = done | _certified(b, x, lx, r, kappa, lam_min)
         beta = np.where(rz == 0.0, 0.0, rz_new / np.where(rz == 0, 1, rz))
         p *= beta  # then p + z, which equals z + beta p bit for bit
         p += z
@@ -356,6 +534,9 @@ def approx_disagreement(g: WeightedGraph, epsilon: float, seed: int = 0, *,
     # place: no further n x k array is made
     x, iters = laplacian_solve(lap, _sketched_rows(lap, k, seed), kappa_used,
                                max_iters=max_cg_iters)
+    # with a complete elimination, 0 iterations means its solution passed:
+    # CG runs only on a batch that fails, which has a nonzero column
+    solver = "elimination" if iters == 0 and lap.elimination.complete else "cg"
     diffs = x.T
     diffs -= (diffs @ pi)[:, None]
     c = np.einsum("ij,ij->j", diffs, diffs)
@@ -371,5 +552,7 @@ def approx_disagreement(g: WeightedGraph, epsilon: float, seed: int = 0, *,
         # the block solver shares one iteration count across the k solves
         diagnostics={"s": lap.sample_count, "m_sparse": lap.m, "k": k,
                      "kappa": kappa_used, "cg_iterations": [iters],
+                     "solver": solver,
+                     "elimination_rounds": len(lap.elimination.rounds),
                      "failure_prob": FAILURE_PROB,
                      "stderr": float(per_row.std(ddof=1) / math.sqrt(k))})

@@ -181,6 +181,17 @@ def cg_block_oracle(mat, inv_diag, lam_min, kappa, max_iters, b, scale):
     return x, it
 
 
+def ring_with_chords(n, chords, seed):
+    """The n-cycle plus ``chords`` uniformly random chords: an expander,
+    whose elimination fills in."""
+    rng = np.random.default_rng(seed)
+    pairs = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    while len(pairs) < n + chords:
+        a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        pairs.add((a, b))
+    return WeightedGraph.from_edges(n, [(a, b, 1.0) for a, b in sorted(pairs)])
+
+
 def triangle():
     return WeightedGraph.from_edges(
         3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])

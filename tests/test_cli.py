@@ -576,9 +576,9 @@ def test_sweep_runs_its_cells_on_the_calling_thread(tmp_path, monkeypatch):
 
 def test_sweep_rows_do_not_depend_on_disagree_threads(tmp_path,
                                                      monkeypatch):
-    # CG blocks of 16 columns on psfw g=3 (42 nodes), so that two threads
-    # split each approx solve
-    monkeypatch.setattr(dk.sparsify, "CG_BLOCK_BYTES", 8 * 42 * 16)
+    # CG blocks of 16 columns on ba n=200, so that two threads split each
+    # approx solve (its hubs keep approx off the elimination path)
+    monkeypatch.setattr(dk.sparsify, "CG_BLOCK_BYTES", 8 * 200 * 16)
     solver_threads = set()
     real = dk.sparsify._cg_block
 
@@ -590,7 +590,8 @@ def test_sweep_rows_do_not_depend_on_disagree_threads(tmp_path,
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps({
         "methods": ["exact", "approx", "sample"], "trials": 2,
-        "epsilons": [0.5, 0.3], "graphs": [{"family": "psfw", "g": 3}],
+        "epsilons": [0.5, 0.3],
+        "graphs": [{"family": "ba", "n": 200, "m": 3}],
         "sample": {"lambda_bound": 0.9, "ell": 3, "walks": 50}}))
     outputs = []
     for threads in (1, 2):

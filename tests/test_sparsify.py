@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 import disagree_kit as dk
 from disagree_kit import sparsify
-from disagree_kit.sparsify import (CG_BLOCK_BYTES, FAILURE_PROB,
+from disagree_kit.sparsify import (CG_BLOCK_BYTES, FAILURE_PROB, MAX_DEGREE,
                                    _sketched_rows, cg_blocks, sketch_row_signs,
                                    solver_tolerance)
-from helpers import cg_block_oracle, random_connected_graph, triangle
+from helpers import (cg_block_oracle, random_connected_graph,
+                     ring_with_chords, triangle)
 
 
 def _sketch_rows_for(eps):
@@ -119,21 +121,30 @@ def test_laplacian_solve_requires_mean_zero_rhs():
         dk.laplacian_solve(lap, np.ones(3), 1e-3)
 
 
-def _check_energy_norm_contract(k):
+def _cg_path(lap, y, kappa, **kwargs):
+    """``laplacian_solve`` on its CG path, whether or not ``lap`` would be
+    eliminated."""
+    x, iters = sparsify._cg_solve(lap, y.reshape(len(y), -1), kappa, **kwargs)
+    return x.reshape(y.shape), iters
+
+
+def _check_energy_norm_contract(k, lap=None, solve=dk.laplacian_solve):
     """Solve k random right-hand sides at three tolerances and check every
     column against the dense pseudoinverse."""
-    g = random_connected_graph(30, 0.3, seed=4, weighted=True)
-    lap = dk.sparsify_two_step(g, 0.25, seed=1)
+    if lap is None:
+        g = random_connected_graph(30, 0.3, seed=4, weighted=True)
+        lap = dk.sparsify_two_step(g, 0.25, seed=1)
+    n = lap.n
     dense = lap.matrix.toarray()
     pinv = np.linalg.pinv(dense, hermitian=True)
     vals = np.linalg.eigvalsh(dense)
     cond_root = math.sqrt(vals[-1] / vals[1])
     rng = np.random.default_rng(0)
     for kappa in (0.1, 1e-3, 1e-6):
-        y = rng.standard_normal((30, k))
+        y = rng.standard_normal((n, k))
         y -= y.mean(axis=0)
-        x, _ = dk.laplacian_solve(lap, y[:, 0] if k == 1 else y, kappa)
-        x = x.reshape(30, k)
+        x, _ = solve(lap, y[:, 0] if k == 1 else y, kappa)
+        x = x.reshape(n, k)
         assert np.all(np.abs(x.sum(axis=0))
                       < 1e-8 * np.linalg.norm(x, axis=0))
         err = x - pinv @ y
@@ -149,6 +160,20 @@ def _check_energy_norm_contract(k):
 
 def test_laplacian_solve_energy_norm_contract():
     _check_energy_norm_contract(1)
+
+
+@pytest.mark.parametrize("graph, forced_cg", [
+    ("gsw", False), ("gsw", True), ("ba", False)],
+    ids=["gsw-elimination", "gsw-cg", "ba-cg"])
+def test_the_energy_norm_contract_holds_on_both_paths(graph, forced_cg):
+    # gsw is eliminated in rounds; ba (hubs) is not, and runs CG
+    g = (dk.generate_gsw(200, 0.5, seed=4) if graph == "gsw" else
+         dk.generate_ba(120, 3, seed=4))
+    lap = dk.sparsify_two_step(g, 0.5, seed=1)
+    assert lap.elimination.complete == (graph == "gsw")
+    assert graph == "ba" or len(lap.elimination.rounds) > 1
+    _check_energy_norm_contract(
+        5, lap, _cg_path if forced_cg else dk.laplacian_solve)
 
 
 def _count_blocks(monkeypatch):
@@ -168,14 +193,17 @@ def test_laplacian_solve_energy_norm_contract_split_block(monkeypatch):
     blocks = _count_blocks(monkeypatch)
     monkeypatch.setenv("DISAGREE_THREADS", "2")
     width = CG_BLOCK_BYTES // (8 * 30)
-    _check_energy_norm_contract(4 * width + 1)  # two threads, two blocks each
+    # two threads, two blocks each
+    _check_energy_norm_contract(4 * width + 1, solve=_cg_path)
     assert len(blocks) == 4 * 3  # four blocks at each of three tolerances
     assert sorted(set(blocks)) == [width, width + 1]
 
 
-def _gsw_sketch_block(n=400, eps=0.5):
-    g = dk.generate(dk.GeneratorSpec("gsw", {"n": n, "p": 0.5}, 0))
+def _ba_sketch_block(n=400, eps=0.5):
+    # hubs: laplacian_solve abandons elimination and runs CG
+    g = dk.generate(dk.GeneratorSpec("ba", {"n": n, "m": 3}, 0))
     lap = dk.sparsify_two_step(g, eps, seed=0)
+    assert not lap.elimination.complete
     q = _sketched_rows(lap, 576, 0)
     # 576 columns of width 163: three blocks on one thread, one on each of two
     assert cg_blocks(n, 576, 1) == [[(0, 192), (192, 384), (384, 576)]]
@@ -184,7 +212,7 @@ def _gsw_sketch_block(n=400, eps=0.5):
 
 
 def test_laplacian_solve_split_is_bit_identical(monkeypatch):
-    lap, q, kappa = _gsw_sketch_block()
+    lap, q, kappa = _ba_sketch_block()
     blocks = _count_blocks(monkeypatch)
     monkeypatch.setenv("DISAGREE_THREADS", "1")
     x1, it1 = dk.laplacian_solve(lap, q, kappa)
@@ -199,7 +227,7 @@ def test_laplacian_solve_split_is_bit_identical(monkeypatch):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_laplacian_solve_equals_one_cg_block_on_all_columns(monkeypatch,
                                                             threads):
-    lap, q, kappa = _gsw_sketch_block()
+    lap, q, kappa = _ba_sketch_block()
     max_iters = max(200, 40 * lap.n)
     direct, direct_it = sparsify._cg_block(
         lap.matrix, 1.0 / lap.degrees, lap.lambda_min_positive, kappa,
@@ -211,7 +239,7 @@ def test_laplacian_solve_equals_one_cg_block_on_all_columns(monkeypatch,
 
 
 def test_a_single_range_starts_no_thread_pool(monkeypatch):
-    lap, q, kappa = _gsw_sketch_block()
+    lap, q, kappa = _ba_sketch_block()
     q = np.ascontiguousarray(q[:, :89])
     # approx's 89 columns: one range and one block, even on two threads
     assert cg_blocks(lap.n, 89, 2) == [[(0, 89)]]
@@ -250,15 +278,15 @@ def test_cg_skipping_the_stop_test_keeps_every_iterate(
             mp.setenv("DISAGREE_THREADS", threads)
             # blocks of ``width`` columns or more, split across the threads
             mp.setattr(sparsify, "CG_BLOCK_BYTES", 8 * n * width)
-            x, it = dk.laplacian_solve(lap, y, kappa)
+            x, it = sparsify._cg_solve(lap, y, kappa)
             mp.setattr(sparsify, "_cg_block", cg_block_oracle)
-            expected, expected_it = dk.laplacian_solve(lap, y, kappa)
+            expected, expected_it = sparsify._cg_solve(lap, y, kappa)
         assert np.array_equal(x, expected)
         assert it == expected_it
 
 
 def test_laplacian_solve_split_block_iteration_cap(monkeypatch):
-    lap, q, kappa = _gsw_sketch_block()
+    lap, q, kappa = _ba_sketch_block()
     blocks = _count_blocks(monkeypatch)
     monkeypatch.setenv("DISAGREE_THREADS", "2")
     with pytest.raises(dk.ConvergenceError) as exc:
@@ -300,8 +328,125 @@ def test_laplacian_solve_iteration_cap():
     y = np.zeros(40)
     y[0], y[-1] = 1.0, -1.0
     with pytest.raises(dk.ConvergenceError) as exc:
-        dk.laplacian_solve(lap, y, 1e-10, max_iters=1)
+        _cg_path(lap, y, 1e-10, max_iters=1)
     assert exc.value.residual is not None
+
+
+def _tree_with_chords(n, chords, seed, weighted):
+    """A random recursive tree plus ``chords`` random edges: sparse, with
+    no hubs."""
+    rng = np.random.default_rng(seed)
+    pairs = {(int(rng.integers(i)), i) for i in range(1, n)}
+    for _ in range(chords):
+        a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        pairs.add((a, b))
+    pairs = sorted(pairs)
+    weights = (rng.uniform(0.5, 2.0, size=len(pairs)) if weighted
+               else np.ones(len(pairs)))
+    return dk.WeightedGraph.from_edges(
+        n, [(a, b, float(w)) for (a, b), w in zip(pairs, weights)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 160), chord_share=st.floats(0.0, 0.3),
+       graph_seed=st.integers(0, 10_000), weighted=st.booleans(),
+       k=st.integers(1, 6), rhs_seed=st.integers(0, 2 ** 32 - 1))
+def test_elimination_matches_the_dense_pseudoinverse(
+        n, chord_share, graph_seed, weighted, k, rhs_seed):
+    g = _tree_with_chords(n, int(chord_share * n), graph_seed, weighted)
+    # the graph's own Laplacian: elimination takes any connected one
+    lap = dk.SparsifiedLaplacian(g.n, g.edge_u, g.edge_v, g.edge_w,
+                                 sample_count=0)
+    assume(lap.elimination.complete)
+    y = np.random.default_rng(rhs_seed).standard_normal((n, k))
+    y -= y.mean(axis=0)
+    x = lap.elimination.solve(y)
+    expected = np.linalg.pinv(lap.matrix.toarray(), hermitian=True) @ y
+    assert np.all(np.linalg.norm(x - expected, axis=0)
+                  <= 1e-10 * np.linalg.norm(expected, axis=0))
+    solved, iters = dk.laplacian_solve(lap, y, 1e-6)
+    assert iters == 0 and np.array_equal(solved, x)
+
+
+@pytest.mark.parametrize("graph", [
+    dk.generate_gsw(300, 0.5, seed=2), dk.load_bundled("zachary"),
+    _tree_with_chords(150, 40, 1, True)], ids=["gsw", "zachary", "tree"])
+def test_elimination_rounds_are_the_dense_schur_complements(graph):
+    """Replays every round densely: each eliminates an independent set of
+    local minima of (neighbour count, id) among vertices with at most
+    MAX_DEGREE neighbours, its weights are those of the Schur complement,
+    and no Schur complement has more edges than L."""
+    lap = dk.sparsify_two_step(graph, 0.5, seed=3)
+    elim = lap.elimination
+    assert elim.complete
+    s = lap.matrix.toarray()
+    left = np.ones(lap.n, dtype=bool)
+    for r in elim.rounds:
+        off = (s != 0.0) & ~np.eye(lap.n, dtype=bool) & left & left[:, None]
+        count = off.sum(axis=1)
+        assert np.all(left[r.sel]) and np.all(count[r.sel] <= MAX_DEGREE)
+        assert not off[np.ix_(r.sel, r.sel)].any()
+        key = count * lap.n + np.arange(lap.n)
+        for v in r.sel:
+            low = np.flatnonzero(off[v] & (count <= MAX_DEGREE))
+            assert np.all(key[v] < key[low])
+        assert np.array_equal(r.nbrs, np.flatnonzero(off[r.sel].any(axis=0)))
+        np.testing.assert_allclose(r.weights.toarray(),
+                                   -s[np.ix_(r.sel, r.nbrs)], rtol=1e-12)
+        np.testing.assert_allclose(r.inv_d, 1.0 / s[r.sel, r.sel],
+                                   rtol=1e-12)
+        left[r.sel] = False
+        kept = np.flatnonzero(left)
+        s[np.ix_(kept, kept)] -= (s[np.ix_(kept, r.sel)] / s[r.sel, r.sel]
+                                  @ s[np.ix_(r.sel, kept)])
+        s[r.sel] = 0.0
+        s[:, r.sel] = 0.0
+        edges = np.count_nonzero(np.triu(s, k=1))
+        assert edges <= lap.m
+    assert np.array_equal(elim.rest, np.flatnonzero(left))
+    assert len(elim.rest) <= MAX_DEGREE + 1
+    np.testing.assert_allclose(
+        elim.rest_pinv,
+        np.linalg.pinv(s[np.ix_(elim.rest, elim.rest)], hermitian=True),
+        atol=1e-10 * np.abs(elim.rest_pinv).max())
+
+
+@pytest.mark.parametrize("graph", [
+    dk.generate_ba(200, 3, seed=0), dk.generate_apollonian(200, seed=0),
+    ring_with_chords(201, 201, seed=0)], ids=["ba", "apollonian", "expander"])
+def test_graphs_that_would_fill_in_abort_onto_bit_identical_cg(graph):
+    lap = dk.sparsify_two_step(graph, 0.5, seed=0)
+    assert not lap.elimination.complete
+    q = _sketched_rows(lap, 89, 0)
+    kappa = solver_tolerance(lap, graph.stationary(), 0.5)
+    x, iters = dk.laplacian_solve(lap, q, kappa)
+    expected, expected_iters = sparsify._cg_solve(lap, q, kappa)
+    assert np.array_equal(x, expected) and iters == expected_iters > 0
+
+
+def test_a_failed_certificate_falls_back_to_bit_identical_cg():
+    g = dk.generate_gsw(300, 0.5, seed=5)
+    lap = dk.sparsify_two_step(g, 0.5, seed=0)
+    q = _sketched_rows(lap, 89, 0)
+    kappa = solver_tolerance(lap, g.stationary(), 0.5)
+    assert dk.laplacian_solve(lap, q, kappa)[1] == 0
+    # a wrong dense block: the certificate, not the rules, must catch it
+    lap.elimination = dataclasses.replace(
+        lap.elimination, rest_pinv=2.0 * lap.elimination.rest_pinv)
+    x, iters = dk.laplacian_solve(lap, q, kappa)
+    expected, expected_iters = sparsify._cg_solve(lap, q, kappa)
+    assert np.array_equal(x, expected) and iters == expected_iters > 0
+
+
+def test_approx_records_which_solver_ran():
+    for g, solver in ((dk.generate_gsw(300, 0.5, seed=1), "elimination"),
+                      (dk.generate_ba(200, 3, seed=1), "cg")):
+        d = dk.approx_disagreement(g, 0.5, seed=2).diagnostics
+        assert d["solver"] == solver
+        if solver == "elimination":
+            assert d["cg_iterations"] == [0] and d["elimination_rounds"] > 0
+        else:
+            assert d["cg_iterations"][0] > 0 and d["elimination_rounds"] == 0
 
 
 def test_sketch_rows_are_deterministic_signs():
