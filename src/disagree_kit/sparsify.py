@@ -14,7 +14,10 @@ models), it is solved exactly by Gaussian elimination in rounds of
 independent low-degree vertices (``SparsifiedLaplacian.elimination``);
 the Schur complement of a Laplacian is again a Laplacian. Where that
 elimination would fill in (hubs, expanders), or its solution fails the
-energy-norm certificate, Jacobi-preconditioned block CG solves it.
+energy-norm certificate, Jacobi-preconditioned block CG solves it. The
+exact route (``spectral``) eliminates the exact two-step Laplacian the
+same way and reads its inverse diagonal off the rounds
+(``Elimination.inverse_diagonal``).
 """
 
 from __future__ import annotations
@@ -71,7 +74,12 @@ class Elimination:
     """Gaussian elimination of a connected Laplacian in ``rounds``, with the
     last vertices ``rest`` factored densely: ``rest_pinv`` is the
     pseudoinverse of their Schur complement. An abandoned elimination keeps
-    the rounds it completed and has no ``rest``."""
+    the rounds it completed and has no ``rest``.
+
+    A complete elimination defines a generalized inverse G of L (L G L = L):
+    with L = U^T diag(D_sel, L') U for the first round's unit upper
+    triangular U, G = U^-1 diag(D_sel^-1, G') U^-T, recursively, and
+    G' = ``rest_pinv`` on the dense block."""
 
     rounds: list[EliminationRound]
     rest: np.ndarray | None = None
@@ -83,18 +91,74 @@ class Elimination:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """For a complete elimination, the mean-zero solution of
-        L x = b - mean(b), column by column:
-        forward substitution (one sparse product per round), the dense block,
-        then backward substitution in reverse order."""
-        work = b - b.mean(axis=0)
+        L x = b - mean(b), column by column."""
+        x = self.apply(b - b.mean(axis=0))
+        x -= x.mean(axis=0)
+        return x
+
+    def apply(self, work: np.ndarray) -> np.ndarray:
+        """G b for the n x k columns b of ``work``, which it overwrites:
+        forward substitution (one sparse product per round), the dense
+        block, then backward substitution in reverse order."""
         for r in self.rounds:
             work[r.nbrs] += r.weights.T @ (work[r.sel] * r.inv_d[:, None])
         x = np.zeros_like(work)
         x[self.rest] = self.rest_pinv @ work[self.rest]
         for r in reversed(self.rounds):
             x[r.sel] = (work[r.sel] + r.weights @ x[r.nbrs]) * r.inv_d[:, None]
-        x -= x.mean(axis=0)
         return x
+
+    def inverse_diagonal(self) -> np.ndarray:
+        """diag(G) of a complete elimination, by selected inversion
+        (Erisman & Tinney, CACM 1975), in work proportional to the sum of
+        |N(v)|^2 over the eliminated v.
+
+        The rounds are walked backward. For v eliminated with neighbours
+        N(v) and weights w_va, G_vb = (1/d_v) sum_{a in N(v)} w_va G_ab for
+        each b in N(v), and G_vv = 1/d_v + (1/d_v) sum_b w_vb G_vb. The
+        neighbours of v stay adjacent until one of them is eliminated, so
+        each G_ab is the G_ab of a later round, a diagonal entry, or an
+        entry of the dense block. Every such pair is stored once, as its key
+        i n + j, i <= j, and found by a search of the sorted keys."""
+        rest = self.rest
+        n = len(rest) + sum(len(r.sel) for r in self.rounds)
+        top_i, top_j = np.triu_indices(len(rest))
+        ends = [(rest[top_i], rest[top_j])]
+        for r in self.rounds:
+            v = np.repeat(r.sel, np.diff(r.weights.indptr))
+            b = r.nbrs[r.weights.indices]
+            ends += [(np.minimum(v, b), np.maximum(v, b)), (r.sel, r.sel)]
+        keys = np.concatenate([i * n + j for i, j in ends])
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+
+        def entry(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+            """Where G_ij, i <= j, lies in ``values``."""
+            return order[np.searchsorted(sorted_keys, i * n + j)]
+
+        bounds = np.cumsum([0] + [len(i) for i, _ in ends])
+        values = np.empty(len(keys))
+        values[:bounds[1]] = self.rest_pinv[top_i, top_j]
+        for t in range(len(self.rounds) - 1, -1, -1):
+            r = self.rounds[t]
+            ptr, cols, w = r.weights.indptr, r.weights.indices, r.weights.data
+            per = np.diff(ptr)
+            row = np.repeat(np.arange(len(r.sel)), per)
+            # every pair (e, f) of entries in one row: a, b in N(v)
+            reps = per[row]
+            e = np.repeat(np.arange(len(cols)), reps)
+            f = (ptr[row[e]] + np.arange(len(e))
+                 - np.repeat(np.cumsum(reps) - reps, reps))
+            a, b = r.nbrs[cols[e]], r.nbrs[cols[f]]
+            g_ab = values[entry(np.minimum(a, b), np.maximum(a, b))]
+            g_vb = np.bincount(f, weights=w[e] * g_ab,
+                               minlength=len(cols)) * r.inv_d[row]
+            g_vv = r.inv_d * (1.0 + np.bincount(row, weights=w * g_vb,
+                                                minlength=len(r.sel)))
+            edges, diag, end = bounds[1 + 2 * t:4 + 2 * t]
+            values[edges:diag] = g_vb
+            values[diag:end] = g_vv
+        return values[entry(np.arange(n), np.arange(n))]
 
 
 @dataclass
@@ -183,7 +247,10 @@ class SparsifiedLaplacian:
         The elimination is abandoned, keeping the rounds before, where
         fewer than LOW_DEGREE_SHARE of the vertices left have at most
         MAX_DEGREE neighbours, or a Schur complement has more edges than L:
-        the fill of such graphs cannot be bounded in advance."""
+        the fill of such graphs cannot be bounded in advance. It is also
+        abandoned where the dense block's pseudoinverse does not have rank
+        one less than its order: ``pinvh`` dropped a second eigenvalue as
+        zero (a nearly disconnected L) or kept the kernel's."""
         n = self.n
         u, v, w = self.edge_u, self.edge_v, self.edge_w
         ids = np.arange(n)
@@ -204,8 +271,12 @@ class SparsifiedLaplacian:
                 dense[pos[u], pos[v]] = -w
                 dense[pos[v], pos[u]] = -w
                 dense[np.diag_indices(left)] = -dense.sum(axis=1)
-                return Elimination(rounds, np.flatnonzero(alive),
-                                   pinvh(dense))
+                rest_pinv, rank = pinvh(dense, return_rank=True)
+                if rank != left - 1:
+                    # a second numerically zero eigenvalue, or the kernel's
+                    # above the cutoff: rest_pinv is no generalized inverse
+                    return Elimination(rounds)
+                return Elimination(rounds, np.flatnonzero(alive), rest_pinv)
             sel = alive & (count <= MAX_DEGREE)
             if np.count_nonzero(sel) < LOW_DEGREE_SHARE * left:
                 return Elimination(rounds)

@@ -1,11 +1,15 @@
-"""Dense exact computation of disagreement, hitting times, and Kemeny constants.
+"""Exact computation of disagreement, hitting times, and Kemeny constants.
 
 Everything here works from the normalized adjacency matrix
 S = D^{-1/2} A D^{-1/2} and serves as the ground-truth oracle for the
 sampling estimators. ``decompose`` is the one place that checks or
 factors: a Collatz-Wielandt interval from one sparse mat-vec puts the
-leading eigenvalue at 1, and M = I - S^2 + psi psi^T (psi = sqrt(pi)) is
-factored once by Cholesky. While trace(M^-1) is at most ``_TRACE_GATE``
+leading eigenvalue at 1, and diag(M^-1), M = I - S^2 + psi psi^T
+(psi = sqrt(pi)), is computed once. From ``_ELIMINATION_MIN_NODES`` nodes
+up it is first read off the elimination of the sparse two-step Laplacian
+by selected inversion; where that elimination is abandoned (hubs,
+expanders), and on smaller graphs, M is factored densely by Cholesky.
+While trace(M^-1) is at most ``_TRACE_GATE``
 the summary keeps d = diag(M^-1): exact disagreement is d - pi weighted
 by pi, the two-step Kemeny constant is trace(M^-1) - 1, and since
 trace(M^-1) >= 1/(1 - lambda_k^2) for every k >= 2 no eigensolve is
@@ -16,13 +20,17 @@ computed on the first read of a summary's ``eigenvalues`` or
 ``gap_bound``, and the eigenvectors by a full ``eigh`` on the first read
 of ``eigenvectors``.
 
-Memory: M is built straight into LAPACK's rectangular full packed
-storage, n(n + 1)/2 float64 numbers: psi psi^T first, then the sparse
-pattern of S^2, formed by row blocks. ``dpftrf`` factors M = L L^T and
-``dtftri`` inverts L in place, so ``decompose`` holds 4n(n + 1) bytes
-for it: 16 MiB at n = 2048, 1.6 GB at ``DENSE_NODE_CAP`` (computed, not
-run). diag(M^-1) is read off as the squared column norms of L^-1, a row
-at a time; the product L^-T L^-1 is never formed. The eigenvalue and
+Memory: the elimination route holds no n x n buffer, only the two-step
+edge list, its rounds and, per round, one pair list of the sum of
+|N(v)|^2 entries: on gsw ``decompose`` peaked 3, 5 and 9 MB above the
+interpreter's base at n = 2048, 4096 and 8192. On the Cholesky route M is
+built straight into LAPACK's rectangular full packed storage,
+n(n + 1)/2 float64 numbers: psi psi^T first, then the sparse pattern of
+S^2, formed by row blocks. ``dpftrf`` factors M = L L^T and ``dtftri``
+inverts L in place, so ``decompose`` holds 4n(n + 1) bytes for it:
+16 MiB at n = 2048, 1.6 GB at ``DENSE_NODE_CAP`` (computed, not run).
+diag(M^-1) is read off as the squared column norms of L^-1, a row at a
+time; the product L^-T L^-1 is never formed. The eigenvalue and
 eigenvector routes are not built this way: on gsw n = 2048 the
 ``eigvalsh`` route peaked about two n x n arrays above the interpreter's
 base and the ``eigh`` route about five.
@@ -41,6 +49,7 @@ import scipy.sparse as sp
 from .errors import DomainError, NearBipartiteWarning, ResourceError
 from .graph import (DENSE_NODE_CAP, WeightedGraph, require_ergodic,
                     two_step_graph, validate)
+from .sparsify import SparsifiedLaplacian
 
 #: eigenvalues with lambda^2 beyond 1 - _UNIT_EIGEN_TOL are treated as
 #: members of the +-1 eigenspaces by the bipartite-bypass pseudoinverse.
@@ -55,6 +64,12 @@ _NEAR_UNIT = 1e-12
 _TRACE_GATE = 1e8
 #: ``decompose`` requires the leading eigenvalue within this of 1.
 _LAMBDA1_TOL = 1e-8
+#: ``decompose`` tries the elimination route from this many nodes up: the
+#: crossover on gsw (p = 0.5), medians of 15 calls with 2 BLAS threads on
+#: a 2-core VM, Cholesky against elimination: 13.2 against 16.0 ms at
+#: n = 640, 17.9 against 18.0 ms at 768, 28.8 against 21.9 ms at 960;
+#: zachary 0.44 against 1.50 ms
+_ELIMINATION_MIN_NODES = 768
 #: ``_m_packed`` forms S^2 in row blocks of about this many bytes of
 #: values (512 KiB)
 _BLOCK_BYTES = 1 << 19
@@ -75,14 +90,16 @@ class SpectralSummary:
     ``decompose`` certified it (trace at most ``_TRACE_GATE``);
     ``exact_disagreement`` and ``exact_kemeny_two_step`` read it in place
     of the eigenpairs. ``allow_bipartite`` records the mode it was
-    checked in.
+    checked in, ``solver`` and ``elimination_rounds`` the route that gave
+    the diagonal (see ``decompose``).
     """
 
     def __init__(self, eigenvalues: np.ndarray | None,
                  eigenvectors: np.ndarray | None, gap_bound: float | None,
                  *, graph: WeightedGraph | None = None,
                  m_inv_diag: np.ndarray | None = None,
-                 allow_bipartite: bool = False) -> None:
+                 allow_bipartite: bool = False, solver: str = "eigenpairs",
+                 elimination_rounds: int = 0) -> None:
         if graph is None and (eigenvalues is None or eigenvectors is None):
             raise DomainError("a spectral summary needs its eigenvalues and "
                               "eigenvectors or the graph to compute them from")
@@ -92,6 +109,8 @@ class SpectralSummary:
         self._graph = graph
         self._m_inv_diag = m_inv_diag
         self._allow_bipartite = allow_bipartite
+        self._solver = solver
+        self._elimination_rounds = elimination_rounds
 
     @property
     def n(self) -> int:
@@ -145,7 +164,8 @@ def _eigenvalues(g: WeightedGraph) -> np.ndarray:
 
 def decompose(g: WeightedGraph, *,
               allow_bipartite: bool = False) -> SpectralSummary:
-    """Check the spectrum of S and factor M = I - S^2 + psi psi^T once.
+    """Check the spectrum of S and compute diag(M^-1),
+    M = I - S^2 + psi psi^T, once.
 
     Graphs above ``DENSE_NODE_CAP`` nodes raise ``ResourceError``.
     Bipartite inputs are rejected (their spectrum contains -1, which
@@ -159,15 +179,26 @@ def decompose(g: WeightedGraph, *,
     interval that leaves the tolerance therefore means the degrees do not
     match the adjacency, and raises ``DomainError``.
 
-    M has the eigenvalues 1 and 1 - lambda_k^2, k >= 2. It is factored
-    once by Cholesky; a failed factorisation raises ``DomainError``
-    unless ``allow_bipartite`` is set. The summary keeps d = diag(M^-1)
-    when trace(d) is at most ``_TRACE_GATE``, which also rules out any
-    eigenvalue beyond 1 - 1e-12 in magnitude other than the leading one.
-    Above the gate d is dropped; unless ``allow_bipartite`` is set, the
-    eigenvalues are then computed and kept, and any such eigenvalue
-    raises a ``NearBipartiteWarning``. Otherwise they are computed on
-    their first read, the eigenvectors on theirs.
+    M has the eigenvalues 1 and 1 - lambda_k^2, k >= 2. The route to
+    d = diag(M^-1) is chosen from the input, with no option. From
+    ``_ELIMINATION_MIN_NODES`` nodes up (the measured crossover) d comes
+    from the elimination of the two-step Laplacian
+    (``_eliminated_m_inverse_diagonal``) where the graph has at most
+    n^2/16 two-step paths and that elimination completes with a dense
+    block of one numerically zero eigenvalue and a trace at most
+    ``_TRACE_GATE``. Otherwise M is factored once by Cholesky
+    (``_m_inverse_diagonal``), whatever the elimination did: so on every
+    input that leaves the elimination, decompose does what the Cholesky
+    route alone does. A failed factorisation raises ``DomainError``
+    unless ``allow_bipartite`` is set. The summary keeps d when trace(d)
+    is at most ``_TRACE_GATE``, which also rules out any eigenvalue
+    beyond 1 - 1e-12 in magnitude other than the leading one. Above the
+    gate d is dropped; unless ``allow_bipartite`` is set, the eigenvalues
+    are then computed and kept, and any such eigenvalue raises a
+    ``NearBipartiteWarning``. Otherwise they are computed on their first
+    read, the eigenvectors on theirs. The summary records the route that
+    gave d (``"elimination"`` or ``"cholesky"``, ``"eigenpairs"`` without
+    d) and the number of elimination rounds kept (0 where none was tried).
     """
     if g.n > DENSE_NODE_CAP:
         raise ResourceError(
@@ -185,25 +216,34 @@ def decompose(g: WeightedGraph, *,
             "degrees do not match the adjacency row sums; the graph data "
             "is inconsistent")
     m_inv_diag = vals = None
+    solver, rounds = "cholesky", 0
     if not validate(g).bipartite:
         # bipartite M is singular: the bypass reads the eigenpairs instead
-        try:
-            m_inv_diag = _m_inverse_diagonal(g)
-        except DomainError:
-            if not allow_bipartite:
-                raise
+        if g.n >= _ELIMINATION_MIN_NODES:
+            m_inv_diag, rounds = _eliminated_m_inverse_diagonal(g)
+        if m_inv_diag is not None:
+            solver = "elimination"
+        else:
+            try:
+                m_inv_diag = _m_inverse_diagonal(g)
+            except DomainError:
+                if not allow_bipartite:
+                    raise
     if m_inv_diag is not None and m_inv_diag.sum() > _TRACE_GATE:
         m_inv_diag = None
-    if m_inv_diag is None and not allow_bipartite:
-        vals = _eigenvalues(g)
-        rest = np.abs(vals[1:])
-        if rest.max() > 1.0 - _NEAR_UNIT:
-            warnings.warn(
-                f"near-bipartite spectrum: eigenvalue "
-                f"{vals[1:][rest.argmax()]!r} makes 1/(1-lambda^2) blow up",
-                NearBipartiteWarning, stacklevel=2)
+    if m_inv_diag is None:
+        solver = "eigenpairs"
+        if not allow_bipartite:
+            vals = _eigenvalues(g)
+            rest = np.abs(vals[1:])
+            if rest.max() > 1.0 - _NEAR_UNIT:
+                warnings.warn(
+                    f"near-bipartite spectrum: eigenvalue "
+                    f"{vals[1:][rest.argmax()]!r} makes 1/(1-lambda^2) "
+                    "blow up", NearBipartiteWarning, stacklevel=2)
     return SpectralSummary(vals, None, None, graph=g, m_inv_diag=m_inv_diag,
-                           allow_bipartite=allow_bipartite)
+                           allow_bipartite=allow_bipartite, solver=solver,
+                           elimination_rounds=rounds)
 
 
 @dataclass(frozen=True)
@@ -212,13 +252,19 @@ class DisagreementExact:
 
     ``ldag_diag[i]`` is the i-th diagonal entry of the pseudoinverse of
     the two-step normalized Laplacian; ``contributions = pi * ldag_diag``
-    sums to ``delta``.
+    sums to ``delta``. ``solver`` names the route that computed it:
+    ``"elimination"`` or ``"cholesky"`` for diag(M^-1), or
+    ``"eigenpairs"``; ``elimination_rounds`` counts the rounds of the
+    two-step Laplacian's elimination that ``decompose`` kept (0 where it
+    was not tried).
     """
 
     delta: float
     pi: np.ndarray
     ldag_diag: np.ndarray
     contributions: np.ndarray
+    solver: str = "eigenpairs"
+    elimination_rounds: int = 0
 
     @property
     def value(self) -> float:
@@ -229,6 +275,8 @@ class DisagreementExact:
         return {
             "method": "exact",
             "delta": self.delta,
+            "diagnostics": {"solver": self.solver,
+                            "elimination_rounds": self.elimination_rounds},
             "per_node": [
                 {"node": i, "pi": float(p), "ldag": float(l),
                  "contribution": float(c)}
@@ -341,8 +389,9 @@ def _dtftri(n: int, a: np.ndarray) -> int:
 
 
 def _m_inverse_diagonal(g: WeightedGraph) -> np.ndarray:
-    """Diagonal of M^-1, M = I - S^2 + psi psi^T, from one Cholesky
-    factorisation.
+    """Diagonal of M^-1, M = I - S^2 + psi psi^T, from one dense Cholesky
+    factorisation: ``decompose``'s route below ``_ELIMINATION_MIN_NODES``
+    nodes and wherever ``_eliminated_m_inverse_diagonal`` gives none.
 
     On a connected non-bipartite graph psi = sqrt(pi) spans the kernel
     of I - S^2, so M is positive definite and
@@ -386,6 +435,54 @@ def _m_inverse_diagonal(g: WeightedGraph) -> np.ndarray:
     return diag
 
 
+def _two_step_laplacian(g: WeightedGraph) -> SparsifiedLaplacian:
+    """L2 = D - A D^-1 A as an edge list without self-loops: the row sums
+    of A D^-1 A are the degrees, so its off-diagonal entries alone are
+    the Laplacian L2 (up to rounding). ``two_step_graph`` forms the same
+    product but also builds a graph from it: 8.9 ms against 2.2 ms on gsw
+    n = 2048."""
+    a = g.adjacency_csr()
+    upper = sp.triu(a @ sp.diags(1.0 / g.degrees) @ a, k=1).tocoo()
+    return SparsifiedLaplacian(g.n, upper.row.astype(np.int64),
+                               upper.col.astype(np.int64), upper.data,
+                               sample_count=0)
+
+
+def _eliminated_m_inverse_diagonal(g: WeightedGraph
+                                   ) -> tuple[np.ndarray | None, int]:
+    """Diagonal of M^-1 from the elimination of the two-step Laplacian
+    L2 = D - A D^-1 A, and the number of elimination rounds kept; the
+    diagonal is None where the elimination is abandoned or its trace is
+    above ``_TRACE_GATE``.
+
+    L2 (``_two_step_laplacian``) is eliminated by
+    ``SparsifiedLaplacian.elimination``, and selected inversion gives
+    diag(G) for the generalized inverse G it defines.
+    I - S^2 = D^-1/2 L2 D^-1/2, so pinv(I - S^2) = P D^1/2 G D^1/2 P with
+    P = I - psi psi^T, and with pi = d / d_sum
+    diag(M^-1) = d G_ii - 2 pi (G d) + pi (d^T G d / d_sum) + pi.
+    G d is one forward and backward pass of the elimination.
+
+    The route is not tried where the two-step paths, sum_v deg(v)^2 (a
+    bound on the entries of A D^-1 A), exceed n^2/16: building L2 held
+    about 23 bytes a path on ba n = 4096, so above that it could hold more
+    than the 4n^2 bytes of the Cholesky route's packed M (a star's L2 is
+    a full n x n matrix); such graphs have hubs, whose elimination is
+    abandoned."""
+    counts = np.diff(g.indptr)
+    if counts @ counts > g.n * g.n / 16:
+        return None, 0
+    elim = _two_step_laplacian(g).elimination
+    rounds = len(elim.rounds)
+    if not elim.complete:
+        return None, rounds
+    d, pi = g.degrees, g.stationary()
+    gd = elim.apply(d[:, None].copy())[:, 0]
+    diag = d * elim.inverse_diagonal() - 2.0 * pi * gd + pi * (
+        d @ gd / g.d_sum) + pi
+    return (None if diag.sum() > _TRACE_GATE else diag), rounds
+
+
 def exact_disagreement(g: WeightedGraph,
                        s: SpectralSummary | None = None, *,
                        allow_bipartite_pseudoinverse: bool = False
@@ -408,10 +505,13 @@ def exact_disagreement(g: WeightedGraph,
     if allow_bipartite_pseudoinverse or s._m_inv_diag is None:
         ldag = two_step_pinv_diagonal(
             s, allow_bipartite_pseudoinverse=allow_bipartite_pseudoinverse)
+        solver = "eigenpairs"
     else:
         ldag = s._m_inv_diag - pi
+        solver = s._solver
     contrib = pi * ldag
-    return DisagreementExact(float(contrib.sum()), pi, ldag, contrib)
+    return DisagreementExact(float(contrib.sum()), pi, ldag, contrib,
+                             solver, s._elimination_rounds)
 
 
 def exact_hitting_time_two_step(s: SpectralSummary, g: WeightedGraph,

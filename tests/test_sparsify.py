@@ -411,6 +411,19 @@ def test_elimination_rounds_are_the_dense_schur_complements(graph):
         atol=1e-10 * np.abs(elim.rest_pinv).max())
 
 
+@pytest.mark.parametrize("bridge, complete", [(1.0, True), (1e-20, False)])
+def test_a_dense_block_with_two_zero_eigenvalues_abandons_the_elimination(
+        bridge, complete):
+    # two 10-cliques joined by one edge: 20 vertices are one dense block,
+    # whose second eigenvalue is numerically zero when the bridge is
+    u, v = np.triu_indices(10, k=1)
+    lap = dk.SparsifiedLaplacian(
+        20, np.concatenate([u, u + 10, [0]]), np.concatenate([v, v + 10, [10]]),
+        np.concatenate([np.ones(90), [bridge]]), sample_count=0)
+    assert lap.elimination.complete == complete
+    assert lap.elimination.rounds == []
+
+
 @pytest.mark.parametrize("graph", [
     dk.generate_ba(200, 3, seed=0), dk.generate_apollonian(200, seed=0),
     ring_with_chords(201, 201, seed=0)], ids=["ba", "apollonian", "expander"])

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import disagree_kit as dk
 from disagree_kit.spectral import truncation_length, two_step_pinv_diagonal
 from helpers import (hitting_times_to, m_inverse_diagonal_oracle,
                      m_matrix_oracle, path_graph, random_connected_graph,
-                     transition_matrix, triangle)
+                     ring_with_chords, transition_matrix, triangle)
 
 
 def test_triangle_eigenvalues():
@@ -83,6 +84,12 @@ def test_exact_json_schema():
     assert payload["method"] == "exact"
     assert payload["delta"] == pytest.approx(8.0 / 9.0)
     assert {"node", "pi", "ldag", "contribution"} == set(payload["per_node"][0])
+    assert payload["diagnostics"] == {"solver": "cholesky",
+                                      "elimination_rounds": 0}
+    bypass = dk.exact_disagreement(path_graph(5),
+                                   allow_bipartite_pseudoinverse=True)
+    assert bypass.to_json()["diagnostics"] == {"solver": "eigenpairs",
+                                               "elimination_rounds": 0}
 
 
 def test_hitting_time_two_step_triangle():
@@ -237,6 +244,7 @@ def test_cholesky_delta_matches_the_eigh_route(n, chords, seed, weighted):
 def test_cholesky_delta_matches_the_eigh_route_on_gsw_1024():
     g = dk.generate_gsw(1024, 0.5, seed=11)
     res = dk.exact_disagreement(g)
+    assert res.solver == "elimination" and res.elimination_rounds > 0
     delta, ldag = _eigh_route(g)
     assert res.delta == pytest.approx(delta, rel=1e-10)
     assert np.allclose(res.ldag_diag, ldag, rtol=1e-10, atol=0.0)
@@ -539,3 +547,135 @@ def test_bipartite_bypass_runs_no_factorisation(monkeypatch):
     # a summary checked in the bypass mode does not serve the default one
     with pytest.raises(dk.DomainError, match="non-bipartite"):
         dk.exact_disagreement(g, bypass)
+
+
+def _weighted_gsw(n, seed):
+    """gsw with its edge weights drawn uniformly from [0.5, 2]."""
+    g = dk.generate_gsw(n, 0.5, seed=seed)
+    weights = np.random.default_rng(seed).uniform(0.5, 2.0, size=g.m)
+    return dk.WeightedGraph.from_edges(n, [
+        (u, v, float(w)) for (u, v, _), w in zip(g.edges(), weights)])
+
+
+# from n = 200 up: below it gsw has more than n^2/16 two-step paths, and
+# the elimination route is not tried
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(200, 600), seed=st.integers(0, 10_000),
+       weighted=st.booleans())
+@example(n=200, seed=0, weighted=False)
+@example(n=600, seed=0, weighted=True)
+def test_elimination_route_matches_the_cholesky_route(n, seed, weighted):
+    g = (_weighted_gsw(n, seed) if weighted
+         else dk.generate_gsw(n, 0.5, seed=seed))
+    d, _ = dk.spectral._eliminated_m_inverse_diagonal(g)
+    assert d is not None
+    assert np.allclose(d, dk.spectral._m_inverse_diagonal(g), rtol=1e-12,
+                       atol=0)
+
+
+@pytest.mark.parametrize("graph", [
+    dk.generate_gsw(300, 0.5, seed=2), dk.load_bundled("zachary"),
+    _weighted_gsw(200, 4)], ids=["gsw", "zachary", "weighted-gsw"])
+def test_selected_inversion_is_the_diagonal_of_the_dense_replay(graph):
+    """G built densely from the same rounds, G = U^-1 diag(D^-1, G') U^-T
+    one round at a time, is a generalized inverse of L2, its diagonal is
+    the selected inversion's and its products are ``apply``'s."""
+    lap = dk.spectral._two_step_laplacian(graph)
+    elim = lap.elimination
+    assert elim.complete
+    n = lap.n
+    big = np.zeros((n, n))
+    big[np.ix_(elim.rest, elim.rest)] = elim.rest_pinv
+    left = np.zeros(n, dtype=bool)
+    left[elim.rest] = True
+    for r in reversed(elim.rounds):
+        kept = np.flatnonzero(left)
+        dw = np.zeros((len(r.sel), n))
+        dw[:, r.nbrs] = r.inv_d[:, None] * r.weights.toarray()
+        dw = dw[:, kept]
+        cross = dw @ big[np.ix_(kept, kept)]
+        big[np.ix_(r.sel, kept)] = cross
+        big[np.ix_(kept, r.sel)] = cross.T
+        big[np.ix_(r.sel, r.sel)] = np.diag(r.inv_d) + cross @ dw.T
+        left[r.sel] = True
+    lap_dense = lap.matrix.toarray()
+    assert np.allclose(lap_dense @ big @ lap_dense, lap_dense, rtol=0,
+                       atol=1e-10)
+    assert np.allclose(elim.inverse_diagonal(), np.diag(big), rtol=1e-12,
+                       atol=0)
+    b = np.random.default_rng(0).standard_normal((n, 3))
+    assert np.allclose(elim.apply(b.copy()), big @ b, rtol=1e-12,
+                       atol=1e-12 * np.abs(big @ b).max())
+
+
+def _exact_and_kemeny(g):
+    s = dk.decompose(g)
+    res = dk.exact_disagreement(g, s)
+    return res, dk.exact_kemeny_two_step(s)
+
+
+@pytest.mark.parametrize("graph", [
+    dk.generate_ba(800, 3, seed=0), dk.generate_apollonian(800, seed=0),
+    dk.generate_psfw(6), ring_with_chords(800, 800, seed=0)],
+    ids=["ba", "apollonian", "psfw6", "expander"])
+def test_graphs_whose_elimination_fills_in_keep_the_cholesky_route(graph):
+    assert graph.n >= dk.spectral._ELIMINATION_MIN_NODES
+    res, kemeny = _exact_and_kemeny(graph)
+    assert res.solver == "cholesky" and res.elimination_rounds == 0
+    # the route that runs when elimination is not tried
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dk.spectral, "_ELIMINATION_MIN_NODES", graph.n + 1)
+        dense, dense_kemeny = _exact_and_kemeny(graph)
+    assert res.delta == dense.delta and kemeny == dense_kemeny
+    assert np.array_equal(res.ldag_diag, dense.ldag_diag)
+
+
+def test_a_hub_whose_two_step_graph_is_full_is_not_eliminated(monkeypatch):
+    # a star plus one edge among its leaves: A D^-1 A would be n x n
+    n = 800
+    g = dk.WeightedGraph.from_edges(
+        n, [(0, v, 1.0) for v in range(1, n)] + [(1, 2, 1.0)])
+
+    def refused(graph):
+        raise AssertionError("the two-step Laplacian was built")
+
+    monkeypatch.setattr(dk.spectral, "_two_step_laplacian", refused)
+    assert dk.spectral._eliminated_m_inverse_diagonal(g) == (None, 0)
+    res = dk.exact_disagreement(g)
+    assert res.solver == "cholesky" and res.elimination_rounds == 0
+
+
+def _joined_gsw_halves(weight):
+    """gsw n = 300 at seeds 1 and 2, joined by one edge of ``weight``."""
+    a, b = (dk.generate_gsw(300, 0.5, seed=seed) for seed in (1, 2))
+    return dk.WeightedGraph.from_edges(600, [
+        *a.edges(), *((u + 300, v + 300, w) for u, v, w in b.edges()),
+        (0, 300, weight)])
+
+
+def _decompose_outcome(g):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        s = dk.decompose(g)
+    return [w.category for w in caught], s._m_inv_diag is None, s._solver
+
+
+@pytest.mark.parametrize("weight, warns", [
+    (1e-8, False), (1e-14, True), (1e-16, True)])
+def test_nearly_disconnected_inputs_leave_the_elimination_route(weight,
+                                                                warns):
+    """The elimination reaches its dense block in 16 rounds on all three,
+    but its trace is above the gate (1e-8), or the block has a second
+    numerically zero eigenvalue that ``pinvh`` would silently drop (1e-14,
+    1e-16).
+    Forced onto the elimination route, decompose then does what the
+    Cholesky route does: it drops d, and warns where that does."""
+    g = _joined_gsw_halves(weight)
+    d, rounds = dk.spectral._eliminated_m_inverse_diagonal(g)
+    assert d is None and rounds == 16
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dk.spectral, "_ELIMINATION_MIN_NODES", 0)
+        forced = _decompose_outcome(g)
+    expected = ([dk.errors.NearBipartiteWarning] if warns else [], True,
+                "eigenpairs")
+    assert forced == _decompose_outcome(g) == expected
