@@ -316,8 +316,11 @@ def cmd_kemeny(args) -> int:
     g = load_edge_list(args.graph)
     if args.method == "exact":
         t0 = time.perf_counter()
-        value = spectral.exact_kemeny_two_step(spectral.decompose(g))
-        _write_record(g, "kemeny", {"variant": "exact"}, value, t0, None)
+        summary = spectral.decompose(g)
+        value = spectral.exact_kemeny_two_step(summary)
+        _write_record(g, "kemeny", {"variant": "exact"}, value, t0, None, {
+            "diagnostics": {"solver": summary.solver,
+                            "elimination_rounds": summary.elimination_rounds}})
         return 0
     t0 = time.perf_counter()
     est = sampler.sample_kemeny_two_step(

@@ -31,7 +31,7 @@ from .graph import WeightedGraph, require_ergodic
 from .results import DisagreementEstimate
 from .rng import TAG_NOISE, TAG_WALKS, derive_rng
 from .sampler import estimate_gap_bound
-from .walks import NeighborSampler
+from .walks import NeighborSampler, WeightedIndex
 
 #: the O(n^2)-flavored hitting-time baseline refuses larger graphs.
 MC_NODE_CAP = 10_000
@@ -150,7 +150,7 @@ def simulate_noisy_degroot(g: WeightedGraph,
         diagnostics={"burn_in_used": burn, "stderr": stderr})
 
 
-def _hitting_moves(engine: NeighborSampler, pi: np.ndarray,
+def _hitting_moves(engine: NeighborSampler, starts: WeightedIndex,
                    targets: np.ndarray, walks: int, cap: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Two-step moves each of ``walks`` stationary-start walkers needs to
@@ -158,15 +158,15 @@ def _hitting_moves(engine: NeighborSampler, pi: np.ndarray,
     array; also each target's count of truncated walkers.
 
     Every target draws from its own stream exactly what a loop over that
-    target alone would: its start nodes, then per move and per base step
-    one uniform per live walker for the neighbor pick (and one for the
-    alias test on weighted graphs), live walkers in index order. The
+    target alone would: its start nodes (``starts`` turns their uniforms
+    into ``rng.choice(n, walks, p=pi)``'s), then per move and per base
+    step one uniform per live walker for the neighbor pick (and one for
+    the alias test on weighted graphs), live walkers in index order. The
     uniforms are read from per-target buffers refilled from the streams,
     so the walkers of all targets advance as one array."""
     n_targets = len(targets)
     rngs = [derive_rng(seed, TAG_WALKS, int(t)) for t in targets]
-    start = np.stack([rng.choice(len(pi), size=walks, p=pi)
-                      for rng in rngs])
+    start = np.stack([starts.draw(rng.random(walks)) for rng in rngs])
     per_step = engine.draws_per_step
     per_move = 2 * per_step
     width = per_move * walks * _BUFFER_MOVES
@@ -230,6 +230,7 @@ def simulate_mc_disagreement(g: WeightedGraph, config: MCConfig, *,
     t0 = time.perf_counter()
     pi = g.stationary()
     engine = NeighborSampler(g)
+    starts = WeightedIndex(pi)
     walks = config.walks_per_target
     mean_hits = np.zeros(g.n)
     var_hits = np.full(g.n, np.nan)
@@ -237,7 +238,7 @@ def simulate_mc_disagreement(g: WeightedGraph, config: MCConfig, *,
     per_chunk = max(1, MC_CHUNK_WALKERS // walks)
     for lo in range(0, g.n, per_chunk):
         targets = np.arange(lo, min(g.n, lo + per_chunk))
-        moves, truncated = _hitting_moves(engine, pi, targets, walks,
+        moves, truncated = _hitting_moves(engine, starts, targets, walks,
                                           config.truncation_cap, config.seed)
         mean_hits[targets] = moves.mean(axis=1)
         if walks > 1:

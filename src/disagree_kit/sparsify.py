@@ -17,7 +17,8 @@ elimination would fill in (hubs, expanders), or its solution fails the
 energy-norm certificate, Jacobi-preconditioned block CG solves it. The
 exact route (``spectral``) eliminates the exact two-step Laplacian the
 same way and reads its inverse diagonal off the rounds
-(``Elimination.inverse_diagonal``).
+(``Elimination.inverse_diagonal``) by the edge ids the rounds record, 8
+bytes per entry and per fill pair: 290 KiB at gsw n = 2048.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .graph import validate  # noqa: F401  bench/selftest.py checks this binding
 from .results import DisagreementEstimate
 from .rng import TAG_SKETCH, TAG_SPARSIFY, derive_rng
 from .threads import worker_count
-from .walks import NeighborSampler
+from .walks import NeighborSampler, WeightedIndex
 
 #: size of one n x width float64 CG block: its per-iteration arrays then
 #: stay in a core's L2 cache instead of streaming through memory
@@ -61,20 +62,25 @@ class EliminationRound:
     set ``sel`` of vertices it eliminates, their reciprocal weighted degrees
     ``inv_d`` in the Schur complement they leave, their neighbours ``nbrs``
     (all of them kept) and the edge weights between the two, a
-    len(sel) x len(nbrs) matrix."""
+    len(sel) x len(nbrs) matrix; ``ids`` are the edge ids of its entries,
+    ``fill`` those of each row's pairs of entries (a, b), a before b."""
 
     sel: np.ndarray
     inv_d: np.ndarray
     nbrs: np.ndarray
     weights: sp.csr_matrix
+    ids: np.ndarray
+    fill: np.ndarray
 
 
 @dataclass(frozen=True)
 class Elimination:
     """Gaussian elimination of a connected Laplacian in ``rounds``, with the
     last vertices ``rest`` factored densely: ``rest_pinv`` is the
-    pseudoinverse of their Schur complement. An abandoned elimination keeps
-    the rounds it completed and has no ``rest``.
+    pseudoinverse of their Schur complement, ``rest_ids`` the ids of the
+    edges among them (else -1). An edge keeps its id, and a fill pair takes
+    its edge's or a fresh one, below ``edge_ids``. An abandoned elimination
+    keeps the rounds it completed and has no ``rest``.
 
     A complete elimination defines a generalized inverse G of L (L G L = L):
     with L = U^T diag(D_sel, L') U for the first round's unit upper
@@ -84,6 +90,8 @@ class Elimination:
     rounds: list[EliminationRound]
     rest: np.ndarray | None = None
     rest_pinv: np.ndarray | None = None
+    rest_ids: np.ndarray | None = None
+    edge_ids: int = 0
 
     @property
     def complete(self) -> bool:
@@ -117,30 +125,16 @@ class Elimination:
         N(v) and weights w_va, G_vb = (1/d_v) sum_{a in N(v)} w_va G_ab for
         each b in N(v), and G_vv = 1/d_v + (1/d_v) sum_b w_vb G_vb. The
         neighbours of v stay adjacent until one of them is eliminated, so
-        each G_ab is the G_ab of a later round, a diagonal entry, or an
-        entry of the dense block. Every such pair is stored once, as its key
-        i n + j, i <= j, and found by a search of the sorted keys."""
-        rest = self.rest
-        n = len(rest) + sum(len(r.sel) for r in self.rounds)
-        top_i, top_j = np.triu_indices(len(rest))
-        ends = [(rest[top_i], rest[top_j])]
-        for r in self.rounds:
-            v = np.repeat(r.sel, np.diff(r.weights.indptr))
-            b = r.nbrs[r.weights.indices]
-            ends += [(np.minimum(v, b), np.maximum(v, b)), (r.sel, r.sel)]
-        keys = np.concatenate([i * n + j for i, j in ends])
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
-
-        def entry(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-            """Where G_ij, i <= j, lies in ``values``."""
-            return order[np.searchsorted(sorted_keys, i * n + j)]
-
-        bounds = np.cumsum([0] + [len(i) for i, _ in ends])
-        values = np.empty(len(keys))
-        values[:bounds[1]] = self.rest_pinv[top_i, top_j]
-        for t in range(len(self.rounds) - 1, -1, -1):
-            r = self.rounds[t]
+        each G_ab, a != b, is the G_vb of a later round or an entry of the
+        dense block, stored under the id of the edge between a and b: read
+        at the round's ``fill`` ids, each G_vb stored at its ``ids``."""
+        n = len(self.rest) + sum(len(r.sel) for r in self.rounds)
+        g_node = np.empty(n)
+        g_node[self.rest] = np.diagonal(self.rest_pinv)
+        g_edge = np.empty(self.edge_ids)
+        on = self.rest_ids >= 0
+        g_edge[self.rest_ids[on]] = self.rest_pinv[on]
+        for r in reversed(self.rounds):
             ptr, cols, w = r.weights.indptr, r.weights.indices, r.weights.data
             per = np.diff(ptr)
             row = np.repeat(np.arange(len(r.sel)), per)
@@ -149,16 +143,18 @@ class Elimination:
             e = np.repeat(np.arange(len(cols)), reps)
             f = (ptr[row[e]] + np.arange(len(e))
                  - np.repeat(np.cumsum(reps) - reps, reps))
-            a, b = r.nbrs[cols[e]], r.nbrs[cols[f]]
-            g_ab = values[entry(np.minimum(a, b), np.maximum(a, b))]
+            g_ab = np.empty(len(e))
+            g_ab[e == f] = g_node[r.nbrs[cols]]
+            g_ab[e < f] = g_edge[r.fill]
+            # (f, e) lies (e - f)(k - 1) before (e, f) in a row's k^2 pairs
+            low = np.flatnonzero(e > f)
+            g_ab[low] = g_ab[low - (e[low] - f[low]) * (reps[e[low]] - 1)]
             g_vb = np.bincount(f, weights=w[e] * g_ab,
                                minlength=len(cols)) * r.inv_d[row]
-            g_vv = r.inv_d * (1.0 + np.bincount(row, weights=w * g_vb,
-                                                minlength=len(r.sel)))
-            edges, diag, end = bounds[1 + 2 * t:4 + 2 * t]
-            values[edges:diag] = g_vb
-            values[diag:end] = g_vv
-        return values[entry(np.arange(n), np.arange(n))]
+            g_node[r.sel] = r.inv_d * (1.0 + np.bincount(
+                row, weights=w * g_vb, minlength=len(r.sel)))
+            g_edge[r.ids] = g_vb
+        return g_node
 
 
 @dataclass
@@ -253,7 +249,8 @@ class SparsifiedLaplacian:
         zero (a nearly disconnected L) or kept the kernel's."""
         n = self.n
         u, v, w = self.edge_u, self.edge_v, self.edge_w
-        ids = np.arange(n)
+        eid = np.arange(len(w))
+        edge_ids = len(w)
         rounds: list[EliminationRound] = []
         while True:
             count = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
@@ -276,11 +273,14 @@ class SparsifiedLaplacian:
                     # a second numerically zero eigenvalue, or the kernel's
                     # above the cutoff: rest_pinv is no generalized inverse
                     return Elimination(rounds)
-                return Elimination(rounds, np.flatnonzero(alive), rest_pinv)
+                rest_ids = np.full((left, left), -1)
+                rest_ids[pos[u], pos[v]] = eid
+                return Elimination(rounds, np.flatnonzero(alive), rest_pinv,
+                                   rest_ids, edge_ids)
             sel = alive & (count <= MAX_DEGREE)
             if np.count_nonzero(sel) < LOW_DEGREE_SHARE * left:
                 return Elimination(rounds)
-            key = count * n + ids
+            key = count * n + np.arange(n)
             sel[np.where(key[u] < key[v], v, u)[sel[u] & sel[v]]] = False
             # the edges at an eliminated vertex, grouped by it: at most one
             # end of an edge is eliminated
@@ -291,6 +291,7 @@ class SparsifiedLaplacian:
             ev = ev[order]
             ea = np.where(at_u, v, u)[inc][order]
             ew = w[inc][order]
+            ids = eid[inc][order]
             elim = np.flatnonzero(sel)
             per = np.bincount(ev, minlength=n)[elim]
             ptr = np.concatenate(([0], np.cumsum(per)))
@@ -302,6 +303,7 @@ class SparsifiedLaplacian:
             second = first + 1 + np.arange(len(first)) - np.repeat(
                 np.cumsum(later) - later, later)
             kept = ~inc
+            kept_ids = eid[kept]
             a = np.concatenate([u[kept], ea[first]])
             b = np.concatenate([v[kept], ea[second]])
             pairs, slot = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
@@ -311,9 +313,15 @@ class SparsifiedLaplacian:
             if len(w) > self.m:
                 return Elimination(rounds)
             u, v = pairs // n, pairs % n
+            eid = np.full(len(pairs), -1)
+            eid[slot[:len(kept_ids)]] = kept_ids
+            fresh = np.flatnonzero(eid < 0)
+            eid[fresh] = edge_ids + np.arange(len(fresh))
+            edge_ids += len(fresh)
             nbrs, col = np.unique(ea, return_inverse=True)
             rounds.append(EliminationRound(elim, inv_d, nbrs, sp.csr_matrix(
-                (ew, col, ptr), shape=(len(elim), len(nbrs)))))
+                (ew, col, ptr), shape=(len(elim), len(nbrs))), ids,
+                eid[slot[len(kept_ids):]]))
 
 
 def sparsify_two_step(g: WeightedGraph, epsilon: float, seed: int = 0, *,
@@ -334,11 +342,13 @@ def sparsify_two_step(g: WeightedGraph, epsilon: float, seed: int = 0, *,
     engine = NeighborSampler(g)
     s = max(1, int(math.ceil(
         oversample * g.m * epsilon ** (-2) * math.log2(max(g.n, 2)))))
-    edge_prob = g.weights / g.d_sum  # directed-edge distribution over CSR slots
+    # the directed-edge distribution over CSR slots
+    edge_draw = WeightedIndex(g.weights / g.d_sum)
     row_of_slot = np.repeat(np.arange(g.n), np.diff(g.indptr))
     for attempt in range(max_retries + 1):
         rng = derive_rng(seed, TAG_SPARSIFY, attempt)
-        slots = rng.choice(len(edge_prob), size=s, p=edge_prob)
+        # the slots rng.choice(len(p), size=s, p=p) would draw
+        slots = edge_draw.draw(rng.random(s))
         u = row_of_slot[slots]
         v = g.indices[slots]
         w = engine.step(v, rng)

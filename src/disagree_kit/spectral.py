@@ -21,9 +21,11 @@ computed on the first read of a summary's ``eigenvalues`` or
 of ``eigenvectors``.
 
 Memory: the elimination route holds no n x n buffer, only the two-step
-edge list, its rounds and, per round, one pair list of the sum of
-|N(v)|^2 entries: on gsw ``decompose`` peaked 3, 5 and 9 MB above the
-interpreter's base at n = 2048, 4096 and 8192. On the Cholesky route M is
+edge list, its rounds with their edge ids (290 KiB at gsw n = 2048, 1.1
+MiB at 8192) and, per round, one pair list of the sum of |N(v)|^2
+entries: on gsw ``decompose`` peaked 3, 5 and 9 MB above the
+interpreter's base at n = 2048, 4096 and 8192, so ``DENSE_NODE_CAP``
+bounds the other routes only. On the Cholesky route M is
 built straight into LAPACK's rectangular full packed storage,
 n(n + 1)/2 float64 numbers: psi psi^T first, then the sparse pattern of
 S^2, formed by row blocks. ``dpftrf`` factors M = L L^T and ``dtftri``
@@ -109,8 +111,8 @@ class SpectralSummary:
         self._graph = graph
         self._m_inv_diag = m_inv_diag
         self._allow_bipartite = allow_bipartite
-        self._solver = solver
-        self._elimination_rounds = elimination_rounds
+        self.solver = solver
+        self.elimination_rounds = elimination_rounds
 
     @property
     def n(self) -> int:
@@ -152,7 +154,16 @@ def normalized_adjacency(g: WeightedGraph) -> sp.csr_matrix:
          g.indptr), shape=(g.n, g.n))
 
 
+def _require_dense_size(g: WeightedGraph) -> None:
+    """The Cholesky and eigen routes hold n x n arrays: refuse them above
+    ``DENSE_NODE_CAP`` nodes, before any is made."""
+    if g.n > DENSE_NODE_CAP:
+        raise ResourceError(f"the Cholesky and eigen routes are capped at "
+                            f"{DENSE_NODE_CAP} nodes")
+
+
 def normalized_adjacency_dense(g: WeightedGraph) -> np.ndarray:
+    _require_dense_size(g)
     inv_sqrt_d = 1.0 / np.sqrt(g.degrees)
     return g.adjacency_dense() * np.outer(inv_sqrt_d, inv_sqrt_d)
 
@@ -167,10 +178,11 @@ def decompose(g: WeightedGraph, *,
     """Check the spectrum of S and compute diag(M^-1),
     M = I - S^2 + psi psi^T, once.
 
-    Graphs above ``DENSE_NODE_CAP`` nodes raise ``ResourceError``.
-    Bipartite inputs are rejected (their spectrum contains -1, which
-    makes 1/(1 - lambda^2) singular) unless ``allow_bipartite`` is set
-    for the pseudoinverse-bypass mode; they are then not factored.
+    Above ``DENSE_NODE_CAP`` nodes only the elimination route below runs:
+    the Cholesky and eigen routes raise ``ResourceError``. Bipartite
+    inputs are rejected (their spectrum contains -1, which makes
+    1/(1 - lambda^2) singular) unless ``allow_bipartite`` is set for the
+    pseudoinverse-bypass mode; they are then not factored.
 
     The leading eigenvalue must lie within ``_LAMBDA1_TOL`` of 1. With
     psi = sqrt(pi) > 0 and S nonnegative and irreducible, it lies in
@@ -200,9 +212,6 @@ def decompose(g: WeightedGraph, *,
     gave d (``"elimination"`` or ``"cholesky"``, ``"eigenpairs"`` without
     d) and the number of elimination rounds kept (0 where none was tried).
     """
-    if g.n > DENSE_NODE_CAP:
-        raise ResourceError(
-            f"dense eigendecomposition capped at {DENSE_NODE_CAP} nodes")
     if g.n == 1:
         return SpectralSummary(np.ones(1), np.ones((1, 1)), 0.0)
     require_ergodic(g, "decompose", allow_bipartite=allow_bipartite)
@@ -408,6 +417,7 @@ def _m_inverse_diagonal(g: WeightedGraph) -> np.ndarray:
     """
     # imported here: scipy.linalg adds ~0.1 s and ~8 MB to every CLI run
     from scipy.linalg.lapack import dpftrf
+    _require_dense_size(g)
     n = g.n
     packed = _m_packed(g)
     chol, info = dpftrf(n, packed.reshape(-1), transr="N", uplo="L",
@@ -508,10 +518,10 @@ def exact_disagreement(g: WeightedGraph,
         solver = "eigenpairs"
     else:
         ldag = s._m_inv_diag - pi
-        solver = s._solver
+        solver = s.solver
     contrib = pi * ldag
     return DisagreementExact(float(contrib.sum()), pi, ldag, contrib,
-                             solver, s._elimination_rounds)
+                             solver, s.elimination_rounds)
 
 
 def exact_hitting_time_two_step(s: SpectralSummary, g: WeightedGraph,

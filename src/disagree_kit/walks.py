@@ -102,3 +102,33 @@ class NeighborSampler:
         for _ in range(steps):
             pos = self.step(pos, rng)
         return pos
+
+
+#: forward steps a ``WeightedIndex`` draw takes before a binary search
+GUIDE_STEPS = 4
+
+
+class WeightedIndex:
+    """``draw(u)`` is ``np.searchsorted(cdf, u, side="right")`` for the cdf
+    of ``p`` over its last entry: the indices ``Generator.choice(len(p),
+    size, p=p)`` makes of ``rng.random(size)``. A guide table (Chen & Asau,
+    AIIE Trans. 1974) of K = 2^b >= len(p) buckets starts a draw at the
+    answer for floor(u K) / K (exact, and at most its own) and steps on
+    while cdf <= u; draws left after ``GUIDE_STEPS`` take ``searchsorted``."""
+
+    def __init__(self, p: np.ndarray) -> None:
+        self.cdf = np.asarray(p, dtype=np.float64).cumsum()
+        self.cdf /= self.cdf[-1]
+        buckets = 1 << (len(self.cdf) - 1).bit_length()
+        self.guide = np.searchsorted(self.cdf, np.arange(buckets) / buckets,
+                                     side="right")
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """The index of each uniform in ``u``, which lie in [0, 1)."""
+        idx = self.guide[(u * len(self.guide)).astype(np.int64)]
+        todo = np.flatnonzero(self.cdf[idx] <= u)
+        for _ in range(GUIDE_STEPS):
+            idx[todo] += 1
+            todo = todo[self.cdf[idx[todo]] <= u[todo]]
+        idx[todo] = np.searchsorted(self.cdf, u[todo], side="right")
+        return idx

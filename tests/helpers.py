@@ -10,7 +10,9 @@ per-entry arithmetic the packed builder must reproduce bit for bit,
 and packs it with LAPACK's own ``dtrttf``; the diag(M^-1) oracle
 inverts that M whole. The CG oracle is the block loop that runs its
 stop test on every iteration, whose iterates the solver must reproduce
-bit for bit.
+bit for bit. The selected-inversion oracle finds each G_ab by a search
+of sorted pair keys, where the library reads it by edge id; both must
+give the same bits.
 """
 
 from __future__ import annotations
@@ -179,6 +181,50 @@ def cg_block_oracle(mat, inv_diag, lam_min, kappa, max_iters, b, scale):
         it += 1
     x -= x.mean(axis=0, keepdims=True)
     return x, it
+
+
+def inverse_diagonal_oracle(elim) -> np.ndarray:
+    """diag(G) of a complete ``Elimination`` by selected inversion, with
+    every stored pair G_ij, i <= j, kept under the key i n + j and found by
+    a binary search of the sorted keys; the arithmetic and its order are
+    those of ``Elimination.inverse_diagonal``."""
+    rest = elim.rest
+    n = len(rest) + sum(len(r.sel) for r in elim.rounds)
+    top_i, top_j = np.triu_indices(len(rest))
+    ends = [(rest[top_i], rest[top_j])]
+    for r in elim.rounds:
+        v = np.repeat(r.sel, np.diff(r.weights.indptr))
+        b = r.nbrs[r.weights.indices]
+        ends += [(np.minimum(v, b), np.maximum(v, b)), (r.sel, r.sel)]
+    keys = np.concatenate([i * n + j for i, j in ends])
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+
+    def entry(i, j):
+        return order[np.searchsorted(sorted_keys, i * n + j)]
+
+    bounds = np.cumsum([0] + [len(i) for i, _ in ends])
+    values = np.empty(len(keys))
+    values[:bounds[1]] = elim.rest_pinv[top_i, top_j]
+    for t in range(len(elim.rounds) - 1, -1, -1):
+        r = elim.rounds[t]
+        ptr, cols, w = r.weights.indptr, r.weights.indices, r.weights.data
+        per = np.diff(ptr)
+        row = np.repeat(np.arange(len(r.sel)), per)
+        reps = per[row]
+        e = np.repeat(np.arange(len(cols)), reps)
+        f = (ptr[row[e]] + np.arange(len(e))
+             - np.repeat(np.cumsum(reps) - reps, reps))
+        a, b = r.nbrs[cols[e]], r.nbrs[cols[f]]
+        g_ab = values[entry(np.minimum(a, b), np.maximum(a, b))]
+        g_vb = np.bincount(f, weights=w[e] * g_ab,
+                           minlength=len(cols)) * r.inv_d[row]
+        g_vv = r.inv_d * (1.0 + np.bincount(row, weights=w * g_vb,
+                                            minlength=len(r.sel)))
+        edges, diag, end = bounds[1 + 2 * t:4 + 2 * t]
+        values[edges:diag] = g_vb
+        values[diag:end] = g_vv
+    return values[entry(np.arange(n), np.arange(n))]
 
 
 def ring_with_chords(n, chords, seed):

@@ -166,6 +166,8 @@ def test_kemeny_exact_triangle(tri_path):
     payload = json.loads(stdout)
     assert payload["method"] == "kemeny"
     assert abs(payload["result"] - 8.0 / 3.0) < 1e-9
+    assert payload["diagnostics"] == {"solver": "cholesky",
+                                      "elimination_rounds": 0}
 
 
 def test_kemeny_closed_form():

@@ -148,16 +148,16 @@ def test_mc_batched_walks_equal_the_per_target_loop(
 
 
 class _CountingStream:
-    """Generator proxy recording the size of every ``random`` draw."""
+    """Generator proxy recording the size of every ``random`` draw after
+    its first two: a target's start nodes and its first buffer fill."""
 
     def __init__(self, rng, sizes):
-        self._rng, self._sizes = rng, sizes
-
-    def choice(self, *args, **kwargs):
-        return self._rng.choice(*args, **kwargs)
+        self._rng, self._sizes, self._draws = rng, sizes, 0
 
     def random(self, size):
-        self._sizes.append(size)
+        self._draws += 1
+        if self._draws > 2:
+            self._sizes.append(size)
         return self._rng.random(size)
 
 
@@ -175,8 +175,8 @@ def test_mc_several_chunks_and_refills_match_the_loop(monkeypatch, weighted):
         real(*key), sizes))
     est = _assert_mc_matches_loop(g, cfg)
     width = 2 * (2 if weighted else 1) * 30
-    # beyond the 11 initial fills, refills that keep unread uniforms
-    assert len(sizes) > 11 and any(0 < k < width for k in sizes)
+    # refills, some of which keep unread uniforms
+    assert sizes and any(0 < k < width for k in sizes)
     assert est.diagnostics["max_truncation_rate"] > 0.0
 
 

@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import disagree_kit as dk
+from disagree_kit.graph import DENSE_NODE_CAP
 from disagree_kit.spectral import truncation_length, two_step_pinv_diagonal
-from helpers import (hitting_times_to, m_inverse_diagonal_oracle,
-                     m_matrix_oracle, path_graph, random_connected_graph,
-                     ring_with_chords, transition_matrix, triangle)
+from helpers import (hitting_times_to, inverse_diagonal_oracle,
+                     m_inverse_diagonal_oracle, m_matrix_oracle, path_graph,
+                     random_connected_graph, ring_with_chords,
+                     transition_matrix, triangle)
 
 
 def test_triangle_eigenvalues():
@@ -388,6 +390,30 @@ def test_decompose_raises_above_the_node_cap(monkeypatch):
         dk.decompose(triangle())
 
 
+def test_the_node_cap_spares_graphs_that_eliminate():
+    g = dk.generate_gsw(DENSE_NODE_CAP + 1, 0.5, seed=0)
+    res = dk.exact_disagreement(g)
+    assert res.solver == "elimination" and res.elimination_rounds > 0
+    assert np.isfinite(res.delta) and np.all(res.ldag_diag > 0.0)
+    # the bipartite bypass reads eigenpairs, which stay capped
+    with pytest.raises(dk.ResourceError, match="eigen routes are capped"):
+        dk.exact_disagreement(g, allow_bipartite_pseudoinverse=True)
+
+
+def test_a_hub_graph_above_the_node_cap_raises_before_any_dense_array():
+    g = dk.generate_ba(DENSE_NODE_CAP + 1, 3, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(dk.ResourceError,
+                           match="Cholesky and eigen routes are capped"):
+            dk.decompose(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one n x n float64 array would be 3.2 GB
+    assert peak < 0.05 * 8 * g.n * g.n
+
+
 def _eigvalsh_kemeny(g):
     """sum_{k>=2} 1/(1 - lambda_k^2) over the ``eigvalsh`` spectrum of S,
     the oracle of the trace route."""
@@ -603,9 +629,26 @@ def test_selected_inversion_is_the_diagonal_of_the_dense_replay(graph):
                        atol=1e-10)
     assert np.allclose(elim.inverse_diagonal(), np.diag(big), rtol=1e-12,
                        atol=0)
+    assert np.array_equal(elim.inverse_diagonal(),
+                          inverse_diagonal_oracle(elim))
     b = np.random.default_rng(0).standard_normal((n, 3))
     assert np.allclose(elim.apply(b.copy()), big @ b, rtol=1e-12,
                        atol=1e-12 * np.abs(big @ b).max())
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(200, 600), seed=st.integers(0, 10_000),
+       weighted=st.booleans())
+@example(n=200, seed=0, weighted=False)
+@example(n=600, seed=3, weighted=True)
+def test_selected_inversion_by_edge_id_equals_the_sorted_key_search(
+        n, seed, weighted):
+    g = (_weighted_gsw(n, seed) if weighted
+         else dk.generate_gsw(n, 0.5, seed=seed))
+    elim = dk.spectral._two_step_laplacian(g).elimination
+    assert elim.complete
+    assert np.array_equal(elim.inverse_diagonal(),
+                          inverse_diagonal_oracle(elim))
 
 
 def _exact_and_kemeny(g):
@@ -657,7 +700,7 @@ def _decompose_outcome(g):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         s = dk.decompose(g)
-    return [w.category for w in caught], s._m_inv_diag is None, s._solver
+    return [w.category for w in caught], s._m_inv_diag is None, s.solver
 
 
 @pytest.mark.parametrize("weight, warns", [
