@@ -51,6 +51,9 @@ FAILURE_PROB = 0.05
 #: vertex's fill is at most MAX_DEGREE (MAX_DEGREE - 1) / 2 edges
 MAX_DEGREE = 32
 
+#: the elimination's tie-break hash id * TIE_HASH mod 2^64, odd: a bijection
+TIE_HASH = np.uint64(0x9E3779B97F4A7C15)
+
 #: elimination is abandoned for CG once fewer than this share of the
 #: vertices left have at most MAX_DEGREE neighbours (hub-heavy graphs)
 LOW_DEGREE_SHARE = 0.75
@@ -231,14 +234,17 @@ class SparsifiedLaplacian:
         stays sparse.
 
         Each round eliminates the vertices with at most MAX_DEGREE
-        neighbours whose key (neighbour count, id) is below that of every
-        such neighbour: an independent set, as in multiple-minimum-degree
-        ordering (George & Liu, SIAM Review 1989). Eliminating v drops its
-        edges and adds w_a w_b / d_v to each pair (a, b) of its neighbours,
-        so the graph left is the Laplacian of the Schur complement. Once at
-        most MAX_DEGREE + 1 vertices are left they are factored as one
-        dense block: their Schur complement tends to a clique, which would
-        give up one vertex a round.
+        neighbours whose key (neighbour count, id * TIE_HASH mod 2^64) is
+        below that of every such neighbour: an independent set, as in
+        multiple-minimum-degree ordering (George & Liu, SIAM Review 1989).
+        Ties by id gave a cycle numbered in order one vertex a round; the
+        hash's pseudo-random ties, as Luby's (SIAM J. Comput. 1986), take
+        O(log n) rounds. Eliminating v drops its edges and adds
+        w_a w_b / d_v to each pair (a, b) of its neighbours, so the graph
+        left is the Laplacian of the Schur complement. Once at most
+        MAX_DEGREE + 1 vertices are left they are factored as one dense
+        block: their Schur complement tends to a clique, which would give
+        up one vertex a round.
 
         The elimination is abandoned, keeping the rounds before, where
         fewer than LOW_DEGREE_SHARE of the vertices left have at most
@@ -249,6 +255,7 @@ class SparsifiedLaplacian:
         zero (a nearly disconnected L) or kept the kernel's."""
         n = self.n
         u, v, w = self.edge_u, self.edge_v, self.edge_w
+        prio = np.argsort(np.argsort(np.arange(n, dtype=np.uint64) * TIE_HASH))
         eid = np.arange(len(w))
         edge_ids = len(w)
         rounds: list[EliminationRound] = []
@@ -280,7 +287,7 @@ class SparsifiedLaplacian:
             sel = alive & (count <= MAX_DEGREE)
             if np.count_nonzero(sel) < LOW_DEGREE_SHARE * left:
                 return Elimination(rounds)
-            key = count * n + np.arange(n)
+            key = count * n + prio
             sel[np.where(key[u] < key[v], v, u)[sel[u] & sel[v]]] = False
             # the edges at an eliminated vertex, grouped by it: at most one
             # end of an edge is eliminated
@@ -342,13 +349,11 @@ def sparsify_two_step(g: WeightedGraph, epsilon: float, seed: int = 0, *,
     engine = NeighborSampler(g)
     s = max(1, int(math.ceil(
         oversample * g.m * epsilon ** (-2) * math.log2(max(g.n, 2)))))
-    # the directed-edge distribution over CSR slots
-    edge_draw = WeightedIndex(g.weights / g.d_sum)
+    edge_draw = WeightedIndex(g.weights / g.d_sum)  # over the CSR slots
     row_of_slot = np.repeat(np.arange(g.n), np.diff(g.indptr))
     for attempt in range(max_retries + 1):
         rng = derive_rng(seed, TAG_SPARSIFY, attempt)
-        # the slots rng.choice(len(p), size=s, p=p) would draw
-        slots = edge_draw.draw(rng.random(s))
+        slots = edge_draw.draw(rng.random(s))  # rng.choice(..., p=p)'s
         u = row_of_slot[slots]
         v = g.indices[slots]
         w = engine.step(v, rng)

@@ -155,8 +155,7 @@ def normalized_adjacency(g: WeightedGraph) -> sp.csr_matrix:
 
 
 def _require_dense_size(g: WeightedGraph) -> None:
-    """The Cholesky and eigen routes hold n x n arrays: refuse them above
-    ``DENSE_NODE_CAP`` nodes, before any is made."""
+    """Refuse the n x n arrays of the Cholesky and eigen routes."""
     if g.n > DENSE_NODE_CAP:
         raise ResourceError(f"the Cholesky and eigen routes are capped at "
                             f"{DENSE_NODE_CAP} nodes")

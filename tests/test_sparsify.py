@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import disagree_kit as dk
 from disagree_kit import sparsify
 from disagree_kit.sparsify import (CG_BLOCK_BYTES, FAILURE_PROB, MAX_DEGREE,
-                                   _sketched_rows, cg_blocks, sketch_row_signs,
-                                   solver_tolerance)
+                                   TIE_HASH, _sketched_rows, cg_blocks,
+                                   sketch_row_signs, solver_tolerance)
 from helpers import (cg_block_oracle, random_connected_graph,
                      ring_with_chords, triangle)
 
@@ -373,9 +373,9 @@ def test_elimination_matches_the_dense_pseudoinverse(
     _tree_with_chords(150, 40, 1, True)], ids=["gsw", "zachary", "tree"])
 def test_elimination_rounds_are_the_dense_schur_complements(graph):
     """Replays every round densely: each eliminates an independent set of
-    local minima of (neighbour count, id) among vertices with at most
-    MAX_DEGREE neighbours, its weights are those of the Schur complement,
-    and no Schur complement has more edges than L."""
+    local minima of (neighbour count, id * TIE_HASH mod 2^64) among
+    vertices with at most MAX_DEGREE neighbours, its weights are those of
+    the Schur complement, and no Schur complement has more edges than L."""
     lap = dk.sparsify_two_step(graph, 0.5, seed=3)
     elim = lap.elimination
     assert elim.complete
@@ -386,10 +386,11 @@ def test_elimination_rounds_are_the_dense_schur_complements(graph):
         count = off.sum(axis=1)
         assert np.all(left[r.sel]) and np.all(count[r.sel] <= MAX_DEGREE)
         assert not off[np.ix_(r.sel, r.sel)].any()
-        key = count * lap.n + np.arange(lap.n)
+        tie = np.arange(lap.n, dtype=np.uint64) * TIE_HASH
         for v in r.sel:
             low = np.flatnonzero(off[v] & (count <= MAX_DEGREE))
-            assert np.all(key[v] < key[low])
+            assert np.all((count[v] < count[low])
+                          | ((count[v] == count[low]) & (tie[v] < tie[low])))
         assert np.array_equal(r.nbrs, np.flatnonzero(off[r.sel].any(axis=0)))
         np.testing.assert_allclose(r.weights.toarray(),
                                    -s[np.ix_(r.sel, r.nbrs)], rtol=1e-12)
@@ -409,6 +410,20 @@ def test_elimination_rounds_are_the_dense_schur_complements(graph):
         elim.rest_pinv,
         np.linalg.pinv(s[np.ix_(elim.rest, elim.rest)], hermitian=True),
         atol=1e-10 * np.abs(elim.rest_pinv).max())
+
+
+@pytest.mark.parametrize("n", [100, 2000, 8001])
+@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+def test_a_chain_numbered_in_order_eliminates_in_log_n_rounds(n, closed):
+    """Ties broken by the id itself took n - 33 rounds here (one local
+    minimum a round); the hashed tie-break takes about log2 n."""
+    u = np.arange(n if closed else n - 1)
+    v = (u + 1) % n
+    lap = dk.SparsifiedLaplacian(n, np.minimum(u, v), np.maximum(u, v),
+                                 np.ones(len(u)), sample_count=0)
+    elim = lap.elimination
+    assert elim.complete
+    assert len(elim.rounds) <= 2 * math.log2(n)
 
 
 @pytest.mark.parametrize("bridge, complete", [(1.0, True), (1e-20, False)])
