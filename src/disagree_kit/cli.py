@@ -29,9 +29,8 @@ import numpy
 import scipy
 
 from . import __version__, dynamics, generators, sampler, sparsify, spectral
-from .errors import CostWarning, DisagreeKitError, UsageError
-from .graph import (DENSE_NODE_CAP, WeightedGraph, edge_list_text,
-                    load_edge_list)
+from .errors import CostWarning, DisagreeKitError, ResourceError, UsageError
+from .graph import WeightedGraph, edge_list_text, load_edge_list
 from .rng import TAG_CELL, derive_seed
 
 EPSILON_GRID = (0.35, 0.3, 0.25)
@@ -411,12 +410,6 @@ def _run_cell(g: WeightedGraph, method: str, eps: float, seed: int,
     return value, time.perf_counter() - t0
 
 
-def _timed_exact(g: WeightedGraph) -> tuple[float, float]:
-    t0 = time.perf_counter()
-    value = METHODS["exact"].estimate(g, {}, None, 0).value
-    return value, time.perf_counter() - t0
-
-
 def run_sweep(cfg: dict, base: Path) -> list[dict]:
     if not isinstance(cfg, dict):
         raise UsageError(f"sweep config must be a JSON object, got {cfg!r}")
@@ -448,16 +441,21 @@ def run_sweep(cfg: dict, base: Path) -> list[dict]:
     if not graphs or not methods:
         raise UsageError("sweep config needs non-empty 'graphs' and 'methods'")
 
-    # indexed by graph position: two graphs may share a display name
-    exact_cells = [_timed_exact(g) if g.n <= DENSE_NODE_CAP else None
-                   for _, g in graphs]
+    exact_cells = []  # by graph position: two graphs may share a name
+    for _, g in graphs:
+        try:
+            exact_cells.append(_run_cell(g, "exact", None, 0, cfg))
+        except ResourceError:  # no exact route within its caps: no reference
+            if "exact" in methods:
+                raise
+            exact_cells.append(None)
     with_rel = all(v is not None for v in exact_cells)
 
     rows = []
     for gi, (name, g) in enumerate(graphs):
         for mi, method in enumerate(methods):
             if method == "exact":  # reuse the up-front value and its time
-                cells = [(None, 0, exact_cells[gi] or _timed_exact(g))]
+                cells = [(None, 0, exact_cells[gi])]
             else:
                 cells = [(eps, trial, _run_cell(
                     g, method, eps, derive_seed(root_seed, TAG_CELL, gi, mi,

@@ -14,7 +14,7 @@ import numpy as np
 TAG_NODES = 1
 TAG_RETURNS = 2
 TAG_SPARSIFY = 3
-TAG_SKETCH = 4
+TAG_SKETCH = 4  # one stream for all rows, 64 sign bits a word, row-major
 TAG_NOISE = 5
 TAG_WALKS = 6
 TAG_GAP = 7

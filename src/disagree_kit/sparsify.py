@@ -5,8 +5,8 @@ The two-step Laplacian is estimated without ever forming the dense
 two-step graph: two-step paths are sampled edge-first, each contributing
 d_sum/(2s) to its endpoint pair, which is an unbiased Monte-Carlo
 construction of D - D(D^{-1}A)^2 (self-loops cancel and are dropped).
-Quadratic forms in the pseudoinverse are then read off a random-sign
-sketch whose rows are recovered with a Laplacian solver.
+Quadratic forms in the pseudoinverse are then read off a sketch of fair
+signs, bits of one stream, whose rows a Laplacian solver recovers.
 
 The solver has two paths. Where the sparsified Laplacian stays sparse
 under elimination of low-degree vertices (the paper's planar-like
@@ -360,14 +360,12 @@ def sparsify_two_step(g: WeightedGraph, epsilon: float, seed: int = 0, *,
         keep = u != w
         lo = np.minimum(u[keep], w[keep])
         hi = np.maximum(u[keep], w[keep])
-        key = lo * g.n + hi
-        uniq, inv = np.unique(key, return_inverse=True)
-        acc = np.zeros(len(uniq))
-        np.add.at(acc, inv, g.d_sum / (2.0 * s))
-        eu = (uniq // g.n).astype(np.int64)
-        ev = (uniq % g.n).astype(np.int64)
+        uniq, counts = np.unique(lo * g.n + hi, return_counts=True)
+        eu, ev = np.divmod(uniq, g.n)
         if len(uniq) and not component_roots(g.n, eu, ev).any():
-            return SparsifiedLaplacian(g.n, eu, ev, acc, sample_count=s)
+            # a pair drawn c times weighs d_sum/(2s) summed c times, in order
+            acc = np.cumsum(np.full(counts.max(), g.d_sum / (2.0 * s)))
+            return SparsifiedLaplacian(g.n, eu, ev, acc[counts - 1], s)
         s *= 2
     raise ConvergenceError(
         f"sparsifier stayed disconnected after {max_retries} retries")
@@ -565,22 +563,26 @@ def solver_tolerance(lap: SparsifiedLaplacian, pi: np.ndarray,
         c_p * 2.0 * lap.degrees.max() / lap.lambda_min_positive))
 
 
-def sketch_row_signs(seed: int, row: int, m: int) -> np.ndarray:
-    """Row ``row`` of the random sign matrix, streamed counter-based; the
-    full k x m matrix is never materialized."""
-    rng = derive_rng(seed, TAG_SKETCH, row)
-    return rng.integers(0, 2, size=m).astype(np.float64) * 2.0 - 1.0
-
-
 def _sketched_rows(lap: SparsifiedLaplacian, k: int, seed: int) -> np.ndarray:
-    """Columns are q_i = B^T W^{1/2} (row i of Q), accumulated edge-by-edge."""
+    """Columns q_i = B^T W^{1/2} s_i / sqrt(k) for k rows s_i of fair signs
+    from the one stream derive_rng(seed, TAG_SKETCH): s_i is its
+    ``random_raw`` words [i W, (i + 1) W), W = ceil(m / 64), unpacked
+    little-endian, a 1 bit being +1. Rows go in blocks of at most
+    max(1, n k // m): no more floats than q, or one row. Each column is
+    summed on its own, so q does not depend on the blocks."""
+    n, m, words = lap.n, lap.m, -(-lap.m // 64)
+    stream = derive_rng(seed, TAG_SKETCH).bit_generator
     ws = np.sqrt(lap.edge_w) / math.sqrt(k)
-    q = np.empty((lap.n, k))
-    for row in range(k):
-        signed = sketch_row_signs(seed, row, lap.m) * ws
-        q[:, row] = (np.bincount(lap.edge_u, weights=signed, minlength=lap.n)
-                     - np.bincount(lap.edge_v, weights=signed,
-                                   minlength=lap.n))
+    inc = sp.csc_matrix((np.concatenate([ws, -ws]), (np.concatenate(
+        [lap.edge_u, lap.edge_v]), np.tile(np.arange(m), 2))), shape=(n, m))
+    q = np.empty((n, k))
+    for lo, hi in _split(0, k, -(-k // max(1, n * k // m))):
+        raw = stream.random_raw((hi - lo) * words).astype("<u8")
+        bits = np.unpackbits(raw.view(np.uint8).reshape(-1, 8 * words),
+                             axis=1, count=m, bitorder="little")
+        signs = np.multiply(bits.T, 2.0, order="C")  # C order: read uncopied
+        signs -= 1.0
+        q[:, lo:hi] = inc @ signs
     return q
 
 

@@ -12,7 +12,9 @@ inverts that M whole. The CG oracle is the block loop that runs its
 stop test on every iteration, whose iterates the solver must reproduce
 bit for bit. The selected-inversion oracle finds each G_ab by a search
 of sorted pair keys, where the library reads it by edge id; both must
-give the same bits.
+give the same bits. The sparsifier oracle sums each sampled pair's
+weights with ``np.unique(return_inverse=True)`` and ``np.add.at``, where
+the library reads them off the pair counts; both must give the same bytes.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dpftrf, dpftri, dtfttr, dtrttf
 
-from disagree_kit import ConvergenceError, WeightedGraph, validate
-from disagree_kit.rng import TAG_NOISE, TAG_WALKS, derive_rng
+from disagree_kit import (ConvergenceError, SparsifiedLaplacian,
+                          WeightedGraph, validate)
+from disagree_kit.graph import component_roots
+from disagree_kit.rng import TAG_NOISE, TAG_SPARSIFY, TAG_WALKS, derive_rng
 from disagree_kit.sampler import estimate_gap_bound
 from disagree_kit.spectral import normalized_adjacency
-from disagree_kit.walks import NeighborSampler
+from disagree_kit.walks import NeighborSampler, WeightedIndex
 
 
 def random_connected_graph(n, p, seed, weighted=False):
@@ -225,6 +229,36 @@ def inverse_diagonal_oracle(elim) -> np.ndarray:
         values[edges:diag] = g_vb
         values[diag:end] = g_vv
     return values[entry(np.arange(n), np.arange(n))]
+
+
+def sparsify_add_at_oracle(g, epsilon, seed=0, *, oversample=1.0,
+                           max_retries=3):
+    """``sparsify_two_step`` with each pair's weight accumulated by
+    ``np.add.at`` over the ``np.unique`` inverse, as it was built before the
+    pair counts were used; same draws, same retries."""
+    engine = NeighborSampler(g)
+    s = max(1, int(math.ceil(
+        oversample * g.m * epsilon ** (-2) * math.log2(max(g.n, 2)))))
+    edge_draw = WeightedIndex(g.weights / g.d_sum)
+    row_of_slot = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    for attempt in range(max_retries + 1):
+        rng = derive_rng(seed, TAG_SPARSIFY, attempt)
+        slots = edge_draw.draw(rng.random(s))
+        u = row_of_slot[slots]
+        w = engine.step(g.indices[slots], rng)
+        keep = u != w
+        lo = np.minimum(u[keep], w[keep])
+        hi = np.maximum(u[keep], w[keep])
+        uniq, inv = np.unique(lo * g.n + hi, return_inverse=True)
+        acc = np.zeros(len(uniq))
+        np.add.at(acc, inv, g.d_sum / (2.0 * s))
+        eu = (uniq // g.n).astype(np.int64)
+        ev = (uniq % g.n).astype(np.int64)
+        if len(uniq) and not component_roots(g.n, eu, ev).any():
+            return SparsifiedLaplacian(g.n, eu, ev, acc, sample_count=s)
+        s *= 2
+    raise ConvergenceError(
+        f"sparsifier stayed disconnected after {max_retries} retries")
 
 
 def ring_with_chords(n, chords, seed):

@@ -445,6 +445,33 @@ def test_sweep_exact_cell_reuses_up_front_value(tmp_path, tri_path,
     assert all(r["wall_time_s"] > 0.0 for r in rows)
 
 
+@pytest.mark.parametrize("family, reference", [
+    ({"family": "gsw", "n": 800, "p": 0.5}, True),
+    ({"family": "ba", "n": 800, "m": 3}, False)], ids=["gsw", "ba"])
+def test_sweep_reference_above_the_node_cap(tmp_path, monkeypatch, family,
+                                            reference):
+    # the cap bounds only the dense routes: gsw is eliminated above it,
+    # while BA's hubs leave no exact route and so no reference
+    monkeypatch.setattr(dk.spectral, "DENSE_NODE_CAP", 700)
+    cfg = {"trials": 1, "epsilons": [0.5], "methods": ["approx"],
+           "graphs": [{**family, "name": "big"}]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, stdout, _ = run_cli(["sweep", str(cfg_path), "--output", "json"])
+    assert code == 0
+    [row] = json.loads(stdout)
+    assert ("rel_error_vs_exact" in row) == reference
+    if reference:
+        assert row["rel_error_vs_exact"] < 0.5
+    cfg["methods"] = ["exact"]
+    cfg_path.write_text(json.dumps(cfg))
+    code, stdout, err = run_cli(["sweep", str(cfg_path), "--output", "json"])
+    if reference:
+        assert code == 0 and json.loads(stdout)[0]["rel_error_vs_exact"] == 0
+    else:  # an exact row still needs a route
+        assert code == 3 and "capped at 700 nodes" in err
+
+
 # method -> (compute flags, the same options as a sweep config section,
 #            the direct library call at (graph, epsilon, seed))
 _FRONT_ENDS = {
@@ -573,7 +600,8 @@ def test_sweep_runs_its_cells_on_the_calling_thread(tmp_path, monkeypatch):
         "mc": {"walks_per_target": 20}}))
     code, _, err = run_cli(["sweep", str(cfg_path)])
     assert code == 0, err
-    assert threads == [threading.get_ident()] * 8
+    # the up-front exact cell, then 2 methods x 2 epsilons x 2 trials
+    assert threads == [threading.get_ident()] * 9
 
 
 def test_sweep_rows_do_not_depend_on_disagree_threads(tmp_path,

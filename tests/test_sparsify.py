@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 import disagree_kit as dk
 from disagree_kit import sparsify
+from disagree_kit.rng import TAG_SKETCH, derive_rng
 from disagree_kit.sparsify import (CG_BLOCK_BYTES, FAILURE_PROB, MAX_DEGREE,
                                    TIE_HASH, _sketched_rows, cg_blocks,
-                                   sketch_row_signs, solver_tolerance)
+                                   solver_tolerance)
 from helpers import (cg_block_oracle, random_connected_graph,
-                     ring_with_chords, triangle)
+                     ring_with_chords, sparsify_add_at_oracle, triangle)
 
 
 def _sketch_rows_for(eps):
@@ -87,6 +88,24 @@ def test_sparsifier_disconnect_retry_and_failure():
         dk.sparsify_two_step(g, 0.5, seed=0, oversample=1e-9, max_retries=0)
     lap = dk.sparsify_two_step(g, 0.5, seed=0, oversample=1e-9, max_retries=6)
     assert lap.sample_count > 1  # doubled until connected
+
+
+@pytest.mark.parametrize("graph, kwargs", [
+    (random_connected_graph(40, 0.2, seed=21), {}),
+    (random_connected_graph(40, 0.2, seed=22, weighted=True), {}),
+    (dk.generate_gsw(768, 0.5, seed=3), {}),
+    # seeds 0, 2 and 3 draw one self-loop first: an empty sample, then retries
+    (triangle(), {"oversample": 1e-9, "max_retries": 6})],
+    ids=["unweighted", "weighted", "gsw", "retrying"])
+def test_sparsifier_weights_from_pair_counts_equal_np_add_at(graph, kwargs):
+    for seed in range(4):
+        lap = dk.sparsify_two_step(graph, 0.5, seed=seed, **kwargs)
+        expected = sparsify_add_at_oracle(graph, 0.5, seed, **kwargs)
+        assert lap.sample_count == expected.sample_count
+        assert kwargs == {} or lap.sample_count > 1
+        for name in ("edge_u", "edge_v", "edge_w"):
+            got, want = getattr(lap, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_self_loop_removal_preserves_laplacian():
@@ -477,12 +496,51 @@ def test_approx_records_which_solver_ran():
             assert d["cg_iterations"][0] > 0 and d["elimination_rounds"] == 0
 
 
-def test_sketch_rows_are_deterministic_signs():
-    a = sketch_row_signs(7, 3, 100)
-    b = sketch_row_signs(7, 3, 100)
-    assert np.array_equal(a, b)
-    assert set(np.unique(a)) <= {-1.0, 1.0}
-    assert not np.array_equal(a, sketch_row_signs(7, 4, 100))
+@pytest.mark.parametrize("n, p", [(12, 0.5), (40, 0.3)])
+def test_sketch_rows_are_the_bits_of_one_stream(n, p):
+    """Row r's signs are words [r W, (r + 1) W) of one stream, bit e % 64
+    of word e // 64 for edge e, 1 being +1; each row's column is the signed
+    incidence rows weighted by sqrt(w_e / k)."""
+    g = random_connected_graph(n, p, seed=n, weighted=True)
+    lap = dk.sparsify_two_step(g, 0.5, seed=1)
+    k, seed, m = 7, 11, lap.m
+    words = -(-m // 64)
+    raw = derive_rng(seed, TAG_SKETCH).bit_generator.random_raw(k * words)
+    signs = np.array([[(int(raw[r * words + e // 64]) >> (e % 64)) & 1
+                       for e in range(m)] for r in range(k)]) * 2.0 - 1.0
+    incidence = np.zeros((lap.n, m))
+    incidence[lap.edge_u, np.arange(m)] = 1.0
+    incidence[lap.edge_v, np.arange(m)] = -1.0
+    expected = incidence @ (np.sqrt(lap.edge_w / k)[:, None] * signs.T)
+    q = _sketched_rows(lap, k, seed)
+    np.testing.assert_allclose(q, expected, rtol=0, atol=1e-12)
+    assert np.array_equal(q, _sketched_rows(lap, k, seed))
+    assert not np.array_equal(q, _sketched_rows(lap, k, seed + 1))
+
+
+@pytest.mark.parametrize("graph", [
+    dk.generate_gsw(300, 0.5, seed=2), dk.generate_ba(400, 3, seed=0)],
+    ids=["gsw", "ba"])
+def test_the_sketch_does_not_depend_on_its_blocks(monkeypatch, graph):
+    lap = dk.sparsify_two_step(graph, 0.5, seed=0)
+    n, k, m = lap.n, 89, lap.m
+    blocks = []
+    split = sparsify._split
+
+    def recording(lo, hi, parts):
+        blocks.extend(split(lo, hi, parts))
+        return blocks[-parts:]
+
+    monkeypatch.setattr(sparsify, "_split", recording)
+    q = _sketched_rows(lap, k, 0)
+    # a block of r rows holds r m floats, no more than the n k of q
+    assert all(hi - lo <= max(1, n * k // m) for lo, hi in blocks)
+    assert len(blocks) > 1
+    monkeypatch.setattr(sparsify, "_split",
+                        lambda lo, hi, parts: [(i, i + 1) for i in range(k)])
+    assert np.array_equal(_sketched_rows(lap, k, 0), q)
+    monkeypatch.setattr(sparsify, "_split", lambda lo, hi, parts: [(0, k)])
+    assert np.array_equal(_sketched_rows(lap, k, 0), q)
 
 
 def _sketch_value(x, pi):
@@ -538,16 +596,8 @@ def test_sketch_solve_sandwich_on_quadratic_forms():
         pinv = np.linalg.pinv(lap.matrix.toarray(), hermitian=True)
         pi = g.stationary()
         kappa = solver_tolerance(lap, pi, eps)
-        k = _sketch_rows_for(eps)
-        q = np.empty((g.n, k))
-        ws = np.sqrt(lap.edge_w) / math.sqrt(k)
-        for row in range(k):
-            signed = sketch_row_signs(seed, row, lap.m) * ws
-            q[:, row] = (np.bincount(lap.edge_u, weights=signed,
-                                     minlength=g.n)
-                         - np.bincount(lap.edge_v, weights=signed,
-                                       minlength=g.n))
-        x, _ = dk.laplacian_solve(lap, q, kappa)
+        x, _ = dk.laplacian_solve(
+            lap, _sketched_rows(lap, _sketch_rows_for(eps), seed), kappa)
         value = g.d_sum * _sketch_value(x, pi)
         delta = _sparsified_delta(g, pinv)
         assert (1 - eps) ** 2 * delta <= value <= (1 + eps) ** 2 * delta
