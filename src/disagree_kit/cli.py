@@ -449,7 +449,8 @@ def run_sweep(cfg: dict, base: Path) -> list[dict]:
             if "exact" in methods:
                 raise
             exact_cells.append(None)
-    with_rel = all(v is not None for v in exact_cells)
+    # a graph without a reference gets null where another graph has one
+    with_rel = any(v is not None for v in exact_cells)
 
     rows = []
     for gi, (name, g) in enumerate(graphs):
@@ -474,8 +475,9 @@ def run_sweep(cfg: dict, base: Path) -> list[dict]:
                     "wall_time_s": wall,
                 }
                 if with_rel:
-                    exact = exact_cells[gi][0]
-                    row["rel_error_vs_exact"] = abs(value - exact) / abs(exact)
+                    ref = exact_cells[gi] and exact_cells[gi][0]
+                    row["rel_error_vs_exact"] = (
+                        None if ref is None else abs(value - ref) / abs(ref))
                 rows.append(row)
     return rows
 

@@ -167,7 +167,7 @@ def _sampled_estimate(g: WeightedGraph, params: SampleParams, method: str,
         method=method, value=float(g.n / k * contribs.sum()),
         params=params.to_json(), seed=params.seed,
         wall_time_s=time.perf_counter() - t0,
-        per_node={int(i): float(c) for i, c in zip(nodes, contribs)},
+        per_node=dict(zip(nodes.tolist(), contribs.tolist())),
         diagnostics={"stderr": stderr})
 
 

@@ -17,8 +17,10 @@ elimination would fill in (hubs, expanders), or its solution fails the
 energy-norm certificate, Jacobi-preconditioned block CG solves it. The
 exact route (``spectral``) eliminates the exact two-step Laplacian the
 same way and reads its inverse diagonal off the rounds
-(``Elimination.inverse_diagonal``) by the edge ids the rounds record, 8
-bytes per entry and per fill pair: 290 KiB at gsw n = 2048.
+(``Elimination.inverse_diagonal``) by the edge ids the rounds record. A
+round is flat arrays: per entry its neighbour, weight and edge id, per
+fill pair an edge id, 8 bytes each. At gsw n = 2048 the 29 rounds hold
+10,396 entries and 26,761 fill pairs, 500 KiB in all, 290 KiB of it ids.
 """
 
 from __future__ import annotations
@@ -62,18 +64,25 @@ LOW_DEGREE_SHARE = 0.75
 @dataclass(frozen=True)
 class EliminationRound:
     """One round of ``SparsifiedLaplacian.elimination``: the independent
-    set ``sel`` of vertices it eliminates, their reciprocal weighted degrees
-    ``inv_d`` in the Schur complement they leave, their neighbours ``nbrs``
-    (all of them kept) and the edge weights between the two, a
-    len(sel) x len(nbrs) matrix; ``ids`` are the edge ids of its entries,
-    ``fill`` those of each row's pairs of entries (a, b), a before b."""
+    set ``sel`` of vertices it eliminates and their reciprocal weighted
+    degrees ``inv_d`` in the Schur complement they leave. Its entries are
+    its edges, grouped by eliminated vertex, those of sel[i] at
+    ptr[i]:ptr[i + 1]: ``nbr`` is each entry's neighbour (a vertex id; no
+    neighbour is eliminated in the round), ``wt`` its weight and ``ids``
+    its edge id; ``fill`` holds the edge ids of each group's pairs of
+    entries (a, b), a before b."""
 
     sel: np.ndarray
     inv_d: np.ndarray
-    nbrs: np.ndarray
-    weights: sp.csr_matrix
+    ptr: np.ndarray
+    nbr: np.ndarray
+    wt: np.ndarray
     ids: np.ndarray
     fill: np.ndarray
+
+    def rows(self) -> np.ndarray:
+        """Each entry's position in ``sel``."""
+        return np.repeat(np.arange(len(self.sel)), np.diff(self.ptr))
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,9 @@ class Elimination:
     edges among them (else -1). An edge keeps its id, and a fill pair takes
     its edge's or a fresh one, below ``edge_ids``. An abandoned elimination
     keeps the rounds it completed and has no ``rest``.
+
+    The rounds are records of flat arrays, built without a sparse matrix;
+    ``apply`` builds the products it needs from them.
 
     A complete elimination defines a generalized inverse G of L (L G L = L):
     with L = U^T diag(D_sel, L') U for the first round's unit upper
@@ -109,14 +121,39 @@ class Elimination:
 
     def apply(self, work: np.ndarray) -> np.ndarray:
         """G b for the n x k columns b of ``work``, which it overwrites:
-        forward substitution (one sparse product per round), the dense
-        block, then backward substitution in reverse order."""
-        for r in self.rounds:
-            work[r.nbrs] += r.weights.T @ (work[r.sel] * r.inv_d[:, None])
+        forward substitution, the dense block, then backward substitution
+        in reverse order. One column takes two ``bincount``s a round. More
+        take one sparse product each way: forward a CSC matrix whose rows
+        are the round's distinct neighbours, backward a CSR matrix over
+        all n vertices. Both add each sum in entry order; only the dense
+        block's BLAS product sums one column in another order than
+        several."""
+        n, k = work.shape
         x = np.zeros_like(work)
+        if k == 1:
+            b, y, rows = work[:, 0], x[:, 0], [r.rows() for r in self.rounds]
+            for r, row in zip(self.rounds, rows):
+                b += np.bincount(r.nbr, r.wt * (b[r.sel] * r.inv_d)[row], n)
+            x[self.rest] = self.rest_pinv @ work[self.rest]
+            for r, row in zip(reversed(self.rounds), reversed(rows)):
+                y[r.sel] = (b[r.sel] + np.bincount(
+                    row, r.wt * y[r.nbr], len(r.sel))) * r.inv_d
+            return x
+        mark = np.zeros(n, dtype=bool)
+        col = np.empty(n, dtype=np.int64)
+        for r in self.rounds:
+            mark[r.nbr] = True
+            nbrs = np.flatnonzero(mark)
+            mark[nbrs] = False
+            col[nbrs] = np.arange(len(nbrs))
+            work[nbrs] += sp.csc_array(
+                (r.wt, col[r.nbr], r.ptr), shape=(len(nbrs), len(r.sel))
+            ) @ (work[r.sel] * r.inv_d[:, None])
         x[self.rest] = self.rest_pinv @ work[self.rest]
         for r in reversed(self.rounds):
-            x[r.sel] = (work[r.sel] + r.weights @ x[r.nbrs]) * r.inv_d[:, None]
+            x[r.sel] = (work[r.sel] + sp.csr_array(
+                (r.wt, r.nbr, r.ptr), shape=(len(r.sel), n)) @ x
+            ) * r.inv_d[:, None]
         return x
 
     def inverse_diagonal(self) -> np.ndarray:
@@ -138,22 +175,21 @@ class Elimination:
         on = self.rest_ids >= 0
         g_edge[self.rest_ids[on]] = self.rest_pinv[on]
         for r in reversed(self.rounds):
-            ptr, cols, w = r.weights.indptr, r.weights.indices, r.weights.data
-            per = np.diff(ptr)
-            row = np.repeat(np.arange(len(r.sel)), per)
+            ptr, w = r.ptr, r.wt
+            row = r.rows()
             # every pair (e, f) of entries in one row: a, b in N(v)
-            reps = per[row]
-            e = np.repeat(np.arange(len(cols)), reps)
+            reps = np.diff(ptr)[row]
+            e = np.repeat(np.arange(len(w)), reps)
             f = (ptr[row[e]] + np.arange(len(e))
                  - np.repeat(np.cumsum(reps) - reps, reps))
             g_ab = np.empty(len(e))
-            g_ab[e == f] = g_node[r.nbrs[cols]]
+            g_ab[e == f] = g_node[r.nbr]
             g_ab[e < f] = g_edge[r.fill]
             # (f, e) lies (e - f)(k - 1) before (e, f) in a row's k^2 pairs
             low = np.flatnonzero(e > f)
             g_ab[low] = g_ab[low - (e[low] - f[low]) * (reps[e[low]] - 1)]
             g_vb = np.bincount(f, weights=w[e] * g_ab,
-                               minlength=len(cols)) * r.inv_d[row]
+                               minlength=len(w)) * r.inv_d[row]
             g_node[r.sel] = r.inv_d * (1.0 + np.bincount(
                 row, weights=w * g_vb, minlength=len(r.sel)))
             g_edge[r.ids] = g_vb
@@ -253,11 +289,11 @@ class SparsifiedLaplacian:
         abandoned where the dense block's pseudoinverse does not have rank
         one less than its order: ``pinvh`` dropped a second eigenvalue as
         zero (a nearly disconnected L) or kept the kernel's."""
-        n = self.n
-        u, v, w = self.edge_u, self.edge_v, self.edge_w
+        n, w, u, v = self.n, self.edge_w, self.edge_u, self.edge_v
+        # every key is u n + v with u < v, as np.unique leaves them below
+        u, v = np.minimum(u, v), np.maximum(u, v)
+        keys, eid, edge_ids = u * n + v, np.arange(self.m), self.m
         prio = np.argsort(np.argsort(np.arange(n, dtype=np.uint64) * TIE_HASH))
-        eid = np.arange(len(w))
-        edge_ids = len(w)
         rounds: list[EliminationRound] = []
         while True:
             count = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
@@ -272,8 +308,7 @@ class SparsifiedLaplacian:
                 from scipy.linalg import pinvh
                 pos = np.cumsum(alive) - 1
                 dense = np.zeros((left, left))
-                dense[pos[u], pos[v]] = -w
-                dense[pos[v], pos[u]] = -w
+                dense[pos[u], pos[v]] = dense[pos[v], pos[u]] = -w
                 dense[np.diag_indices(left)] = -dense.sum(axis=1)
                 rest_pinv, rank = pinvh(dense, return_rank=True)
                 if rank != left - 1:
@@ -289,46 +324,47 @@ class SparsifiedLaplacian:
                 return Elimination(rounds)
             key = count * n + prio
             sel[np.where(key[u] < key[v], v, u)[sel[u] & sel[v]]] = False
-            # the edges at an eliminated vertex, grouped by it: at most one
-            # end of an edge is eliminated
+            # the edges at an eliminated vertex, grouped by it (all of its
+            # count[v]): at most one end of an edge is eliminated
             at_u = sel[u]
             inc = at_u | sel[v]
-            ev = np.where(at_u, u, v)[inc]
+            at = np.flatnonzero(inc)
+            ev = np.where(at_u, u, v)[at]
             order = np.argsort(ev, kind="stable")
-            ev = ev[order]
-            ea = np.where(at_u, v, u)[inc][order]
-            ew = w[inc][order]
-            ids = eid[inc][order]
+            at, ev = at[order], ev[order]
+            ea, ew = (u + v)[at] - ev, w[at]
             elim = np.flatnonzero(sel)
-            per = np.bincount(ev, minlength=n)[elim]
-            ptr = np.concatenate(([0], np.cumsum(per)))
+            ptr = np.concatenate(([0], np.cumsum(count[elim])))
             inv_d = 1.0 / np.add.reduceat(ew, ptr[:-1])
             # fill: each edge pairs with the later edges of its group
-            group = np.repeat(np.arange(len(elim)), per)
+            group = np.repeat(np.arange(len(elim)), np.diff(ptr))
             later = ptr[group + 1] - np.arange(len(ev)) - 1
             first = np.repeat(np.arange(len(ev)), later)
             second = first + 1 + np.arange(len(first)) - np.repeat(
                 np.cumsum(later) - later, later)
-            kept = ~inc
-            kept_ids = eid[kept]
-            a = np.concatenate([u[kept], ea[first]])
-            b = np.concatenate([v[kept], ea[second]])
-            pairs, slot = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
-                                    return_inverse=True)
-            w = np.bincount(slot, weights=np.concatenate(
-                [w[kept], ew[first] * ew[second] * inv_d[group[first]]]))
+            # the next round's edges: those kept, then the fill
+            kept = np.flatnonzero(~inc)
+            nk = len(kept)
+            a, b = ea[first], ea[second]
+            pairs = np.empty(nk + len(first), dtype=np.int64)
+            vals = np.empty(len(pairs))
+            np.take(keys, kept, out=pairs[:nk])
+            np.take(w, kept, out=vals[:nk])
+            np.add(np.minimum(a, b) * n, np.maximum(a, b), out=pairs[nk:])
+            np.multiply(ew[first], ew[second], out=vals[nk:])
+            vals[nk:] *= inv_d[group[first]]
+            keys, slot = np.unique(pairs, return_inverse=True)
+            w = np.bincount(slot, weights=vals)
             if len(w) > self.m:
                 return Elimination(rounds)
-            u, v = pairs // n, pairs % n
-            eid = np.full(len(pairs), -1)
-            eid[slot[:len(kept_ids)]] = kept_ids
+            u, v = np.divmod(keys, n)
+            old, eid = eid, np.full(len(keys), -1)
+            eid[slot[:nk]] = old[kept]
             fresh = np.flatnonzero(eid < 0)
             eid[fresh] = edge_ids + np.arange(len(fresh))
             edge_ids += len(fresh)
-            nbrs, col = np.unique(ea, return_inverse=True)
-            rounds.append(EliminationRound(elim, inv_d, nbrs, sp.csr_matrix(
-                (ew, col, ptr), shape=(len(elim), len(nbrs))), ids,
-                eid[slot[len(kept_ids):]]))
+            rounds.append(EliminationRound(elim, inv_d, ptr, ea, ew, old[at],
+                                           eid[slot[nk:]]))
 
 
 def sparsify_two_step(g: WeightedGraph, epsilon: float, seed: int = 0, *,
@@ -636,7 +672,7 @@ def approx_disagreement(g: WeightedGraph, epsilon: float, seed: int = 0, *,
         method="approx", value=value,
         params={"epsilon": epsilon, "seed": seed, "oversample": oversample},
         seed=seed, wall_time_s=time.perf_counter() - t0,
-        per_node={i: float(g.d_sum * pi[i] ** 2 * c[i]) for i in range(g.n)},
+        per_node=dict(enumerate((g.d_sum * pi ** 2 * c).tolist())),
         # the block solver shares one iteration count across the k solves
         diagnostics={"s": lap.sample_count, "m_sparse": lap.m, "k": k,
                      "kappa": kappa_used, "cg_iterations": [iters],

@@ -26,6 +26,7 @@ from scipy.linalg.lapack import dpftrf, dpftri, dtfttr, dtrttf
 
 from disagree_kit import (ConvergenceError, SparsifiedLaplacian,
                           WeightedGraph, validate)
+from disagree_kit import dynamics
 from disagree_kit.graph import component_roots
 from disagree_kit.rng import TAG_NOISE, TAG_SPARSIFY, TAG_WALKS, derive_rng
 from disagree_kit.sampler import estimate_gap_bound
@@ -197,9 +198,8 @@ def inverse_diagonal_oracle(elim) -> np.ndarray:
     top_i, top_j = np.triu_indices(len(rest))
     ends = [(rest[top_i], rest[top_j])]
     for r in elim.rounds:
-        v = np.repeat(r.sel, np.diff(r.weights.indptr))
-        b = r.nbrs[r.weights.indices]
-        ends += [(np.minimum(v, b), np.maximum(v, b)), (r.sel, r.sel)]
+        v = r.sel[r.rows()]
+        ends += [(np.minimum(v, r.nbr), np.maximum(v, r.nbr)), (r.sel, r.sel)]
     keys = np.concatenate([i * n + j for i, j in ends])
     order = np.argsort(keys)
     sorted_keys = keys[order]
@@ -212,17 +212,17 @@ def inverse_diagonal_oracle(elim) -> np.ndarray:
     values[:bounds[1]] = elim.rest_pinv[top_i, top_j]
     for t in range(len(elim.rounds) - 1, -1, -1):
         r = elim.rounds[t]
-        ptr, cols, w = r.weights.indptr, r.weights.indices, r.weights.data
+        ptr, w = r.ptr, r.wt
         per = np.diff(ptr)
         row = np.repeat(np.arange(len(r.sel)), per)
         reps = per[row]
-        e = np.repeat(np.arange(len(cols)), reps)
+        e = np.repeat(np.arange(len(w)), reps)
         f = (ptr[row[e]] + np.arange(len(e))
              - np.repeat(np.cumsum(reps) - reps, reps))
-        a, b = r.nbrs[cols[e]], r.nbrs[cols[f]]
+        a, b = r.nbr[e], r.nbr[f]
         g_ab = values[entry(np.minimum(a, b), np.maximum(a, b))]
         g_vb = np.bincount(f, weights=w[e] * g_ab,
-                           minlength=len(cols)) * r.inv_d[row]
+                           minlength=len(w)) * r.inv_d[row]
         g_vv = r.inv_d * (1.0 + np.bincount(row, weights=w * g_vb,
                                             minlength=len(r.sel)))
         edges, diag, end = bounds[1 + 2 * t:4 + 2 * t]
@@ -329,7 +329,7 @@ def simulate_loop_oracle(g, config):
         burn = 10 * int(math.ceil(1.0 / (1.0 - lam)))
     pi = g.stationary()
     p_mat = g.adjacency_csr().multiply(1.0 / g.degrees[:, None]).tocsr()
-    if g.n <= 2048:
+    if g.n <= dynamics.SIMULATE_DENSE_NODES:
         p_mat = p_mat.toarray()
     rng = derive_rng(config.seed, TAG_NOISE)
     x = np.zeros(g.n)

@@ -472,6 +472,27 @@ def test_sweep_reference_above_the_node_cap(tmp_path, monkeypatch, family,
         assert code == 3 and "capped at 700 nodes" in err
 
 
+def test_sweep_reference_above_the_node_cap_mixed(tmp_path, monkeypatch):
+    # with the cap at 700, gsw n = 800 has a reference (elimination) and BA
+    # n = 800 none: only BA's rows lack a value, as null and an empty cell
+    monkeypatch.setattr(dk.spectral, "DENSE_NODE_CAP", 700)
+    cfg = {"trials": 1, "epsilons": [0.5], "methods": ["approx"],
+           "graphs": [{"family": "gsw", "n": 800, "p": 0.5, "name": "gsw"},
+                      {"family": "ba", "n": 800, "m": 3, "name": "ba"}]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, stdout, _ = run_cli(["sweep", str(cfg_path), "--output", "json"])
+    assert code == 0
+    gsw, ba = json.loads(stdout)
+    assert 0.0 <= gsw["rel_error_vs_exact"] < 0.5
+    assert "rel_error_vs_exact" in ba and ba["rel_error_vs_exact"] is None
+    code, stdout, _ = run_cli(["sweep", str(cfg_path)])
+    assert code == 0
+    gsw, ba = csv.DictReader(io.StringIO(stdout))
+    assert float(gsw["rel_error_vs_exact"]) < 0.5
+    assert ba["rel_error_vs_exact"] == ""
+
+
 # method -> (compute flags, the same options as a sweep config section,
 #            the direct library call at (graph, epsilon, seed))
 _FRONT_ENDS = {

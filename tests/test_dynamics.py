@@ -226,6 +226,22 @@ def test_simulate_blocks_equal_the_per_step_loop(monkeypatch, noise, burn_in,
             burn_in=burn_in, horizon=horizon, seed=5, noise=noise))
 
 
+@pytest.mark.parametrize("graph", [
+    dk.generate_gsw(300, 0.5, seed=4), dk.load_bundled("zachary"),
+    random_connected_graph(60, 0.1, seed=2, weighted=True)],
+    ids=["gsw", "zachary", "weighted"])
+def test_simulate_dense_and_sparse_steps_agree(monkeypatch, graph):
+    # the same recursion with P dense or CSR, which sum in other orders
+    cfg = dk.MCConfig(burn_in=50, horizon=2_000, seed=9)
+    monkeypatch.setattr(dynamics, "SIMULATE_DENSE_NODES", graph.n)
+    dense = dk.simulate_noisy_degroot(graph, cfg)
+    monkeypatch.setattr(dynamics, "SIMULATE_DENSE_NODES", graph.n - 1)
+    sparse = dk.simulate_noisy_degroot(graph, cfg)
+    assert sparse.value == pytest.approx(dense.value, rel=1e-12, abs=0)
+    assert sparse.diagnostics["stderr"] == pytest.approx(
+        dense.diagnostics["stderr"], rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("noise", ["gaussian", "rademacher"])
 def test_simulate_default_blocks_equal_the_per_step_loop(noise):
     g = dk.load_bundled("zachary")  # blocks of 1927 steps
@@ -234,8 +250,8 @@ def test_simulate_default_blocks_equal_the_per_step_loop(noise):
 
 
 def test_simulate_sparse_blocks_equal_the_per_step_loop():
-    # past 2048 nodes the walk matrix stays sparse; an odd cycle with a
-    # chord is connected and not bipartite. Blocks hold 31 steps here.
+    # past SIMULATE_DENSE_NODES the walk matrix stays sparse; an odd cycle
+    # with a chord is connected and not bipartite. Blocks hold 31 steps here.
     n = 2_101
     edges = [(i, (i + 1) % n, 1.0) for i in range(n)] + [(0, 1_000, 2.0)]
     g = dk.WeightedGraph.from_edges(n, edges)

@@ -209,6 +209,19 @@ def test_additive_error_bound_holds_on_small_graphs():
     assert violations / trials <= 0.05
 
 
+def test_sample_per_node_is_each_drawn_nodes_contribution():
+    g = dk.load_bundled("zachary")
+    params = dk.derive_params(g.n, 0.25, 0.9, seed=3, ell=6,
+                              walks_per_length=400, node_budget=8)
+    est = dk.sample_disagreement(g, params)
+    pi = g.stationary()
+    assert len(est.per_node) == 8
+    assert all(type(i) is int and type(c) is float
+               for i, c in est.per_node.items())
+    assert est.per_node == {i: float(np.sum(dk.estimate_return_probabilities(
+        g, i, params) - pi[i])) * float(pi[i]) for i in est.per_node}
+
+
 def test_sample_stderr_is_horvitz_thompson_without_replacement():
     g = dk.load_bundled("zachary")
 
