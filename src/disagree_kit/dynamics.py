@@ -51,9 +51,12 @@ _BUFFER_MOVES = 2
 #: nodes than this.
 SIMULATE_BLOCK_ENTRIES = 1 << 16
 
-#: the noisy recursion steps with a dense P up to this many nodes, with
-#: the CSR P above: on gsw one step took 4.96 against 4.99 us at n = 192,
-#: 8.3 against 5.1 us at n = 224 (a 2-core VM).
+#: the noisy recursion steps with a dense P up to this many nodes, and up
+#: to 2048 nodes where at least a quarter of P's entries are nonzero; with
+#: the CSR P otherwise. One step, dense against CSR (a 2-core VM): gsw (3
+#: entries a row) 4.5/4.3 us at n = 192, 56/5.1 at 512, 801/9.4 at 2048;
+#: random graphs with a quarter of the entries 54/45 us at n = 512,
+#: 809/860 at 2048, with half 196/415 at 1024, 902/2689 at 2048.
 SIMULATE_DENSE_NODES = 192
 
 #: most burn-in steps the noisy recursion derives on its own. The
@@ -86,6 +89,11 @@ class MCConfig:
         return asdict(self)
 
 
+def _steps_dense(p_mat) -> bool:
+    n = p_mat.shape[0]
+    return n <= SIMULATE_DENSE_NODES or (n <= 2048 and 4 * p_mat.nnz >= n * n)
+
+
 def simulate_noisy_degroot(g: WeightedGraph,
                            config: MCConfig) -> DisagreementEstimate:
     """Run the noisy averaging recursion and time-average the weighted
@@ -110,7 +118,7 @@ def simulate_noisy_degroot(g: WeightedGraph,
         raise DomainError("burn-in must be >= 0")
     pi = g.stationary()
     p_mat = g.adjacency_csr().multiply(1.0 / g.degrees[:, None]).tocsr()
-    dense, buf = g.n <= SIMULATE_DENSE_NODES, np.empty(g.n)
+    dense, buf = _steps_dense(p_mat), np.empty(g.n)
     if dense:
         p_mat = p_mat.toarray()
     rng = derive_rng(config.seed, TAG_NOISE)

@@ -121,24 +121,12 @@ class Elimination:
 
     def apply(self, work: np.ndarray) -> np.ndarray:
         """G b for the n x k columns b of ``work``, which it overwrites:
-        forward substitution, the dense block, then backward substitution
-        in reverse order. One column takes two ``bincount``s a round. More
-        take one sparse product each way: forward a CSC matrix whose rows
-        are the round's distinct neighbours, backward a CSR matrix over
-        all n vertices. Both add each sum in entry order; only the dense
-        block's BLAS product sums one column in another order than
-        several."""
-        n, k = work.shape
+        forward substitution (one sparse product per round, a CSC matrix
+        whose rows are the round's distinct neighbours), the dense block,
+        then backward substitution in reverse order (one product per round,
+        a CSR matrix over all n vertices)."""
+        n = len(work)
         x = np.zeros_like(work)
-        if k == 1:
-            b, y, rows = work[:, 0], x[:, 0], [r.rows() for r in self.rounds]
-            for r, row in zip(self.rounds, rows):
-                b += np.bincount(r.nbr, r.wt * (b[r.sel] * r.inv_d)[row], n)
-            x[self.rest] = self.rest_pinv @ work[self.rest]
-            for r, row in zip(reversed(self.rounds), reversed(rows)):
-                y[r.sel] = (b[r.sel] + np.bincount(
-                    row, r.wt * y[r.nbr], len(r.sel))) * r.inv_d
-            return x
         mark = np.zeros(n, dtype=bool)
         col = np.empty(n, dtype=np.int64)
         for r in self.rounds:

@@ -329,7 +329,7 @@ def simulate_loop_oracle(g, config):
         burn = 10 * int(math.ceil(1.0 / (1.0 - lam)))
     pi = g.stationary()
     p_mat = g.adjacency_csr().multiply(1.0 / g.degrees[:, None]).tocsr()
-    if g.n <= dynamics.SIMULATE_DENSE_NODES:
+    if dynamics._steps_dense(p_mat):
         p_mat = p_mat.toarray()
     rng = derive_rng(config.seed, TAG_NOISE)
     x = np.zeros(g.n)

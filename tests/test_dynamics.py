@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
 from scipy import stats
 
 import disagree_kit as dk
@@ -228,18 +229,29 @@ def test_simulate_blocks_equal_the_per_step_loop(monkeypatch, noise, burn_in,
 
 @pytest.mark.parametrize("graph", [
     dk.generate_gsw(300, 0.5, seed=4), dk.load_bundled("zachary"),
-    random_connected_graph(60, 0.1, seed=2, weighted=True)],
-    ids=["gsw", "zachary", "weighted"])
+    random_connected_graph(60, 0.1, seed=2, weighted=True),
+    random_connected_graph(250, 0.5, seed=3, weighted=True)],
+    ids=["gsw", "zachary", "weighted", "dense"])
 def test_simulate_dense_and_sparse_steps_agree(monkeypatch, graph):
     # the same recursion with P dense or CSR, which sum in other orders
     cfg = dk.MCConfig(burn_in=50, horizon=2_000, seed=9)
-    monkeypatch.setattr(dynamics, "SIMULATE_DENSE_NODES", graph.n)
+    monkeypatch.setattr(dynamics, "_steps_dense", lambda p_mat: True)
     dense = dk.simulate_noisy_degroot(graph, cfg)
-    monkeypatch.setattr(dynamics, "SIMULATE_DENSE_NODES", graph.n - 1)
+    monkeypatch.setattr(dynamics, "_steps_dense", lambda p_mat: False)
     sparse = dk.simulate_noisy_degroot(graph, cfg)
     assert sparse.value == pytest.approx(dense.value, rel=1e-12, abs=0)
     assert sparse.diagnostics["stderr"] == pytest.approx(
         dense.diagnostics["stderr"], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n, share, dense", [
+    (dynamics.SIMULATE_DENSE_NODES, 0.02, True), (300, 0.02, False),
+    (300, 0.3, True), (2048, 0.2, False), (2048, 0.3, True),
+    (2049, 0.3, False)])
+def test_simulate_steps_dense_up_to_its_cap_or_on_dense_graphs(n, share,
+                                                              dense):
+    p_mat = sp.random(n, n, density=share, format="csr", random_state=0)
+    assert dynamics._steps_dense(p_mat) is dense
 
 
 @pytest.mark.parametrize("noise", ["gaussian", "rademacher"])
@@ -250,8 +262,9 @@ def test_simulate_default_blocks_equal_the_per_step_loop(noise):
 
 
 def test_simulate_sparse_blocks_equal_the_per_step_loop():
-    # past SIMULATE_DENSE_NODES the walk matrix stays sparse; an odd cycle
-    # with a chord is connected and not bipartite. Blocks hold 31 steps here.
+    # a sparse walk matrix past SIMULATE_DENSE_NODES stays sparse; an odd
+    # cycle with a chord is connected and not bipartite. Blocks hold 31
+    # steps here.
     n = 2_101
     edges = [(i, (i + 1) % n, 1.0) for i in range(n)] + [(0, 1_000, 2.0)]
     g = dk.WeightedGraph.from_edges(n, edges)
