@@ -15,12 +15,12 @@ independent low-degree vertices (``SparsifiedLaplacian.elimination``);
 the Schur complement of a Laplacian is again a Laplacian. Where that
 elimination would fill in (hubs, expanders), or its solution fails the
 energy-norm certificate, Jacobi-preconditioned block CG solves it. The
-exact route (``spectral``) eliminates the exact two-step Laplacian the
-same way and reads its inverse diagonal off the rounds
+exact route (``spectral``) eliminates the one-step graph's double cover
+the same way and reads its inverse diagonal off the rounds
 (``Elimination.inverse_diagonal``) by the edge ids the rounds record. A
 round is flat arrays: per entry its neighbour, weight and edge id, per
-fill pair an edge id, 8 bytes each. At gsw n = 2048 the 29 rounds hold
-10,396 entries and 26,761 fill pairs, 500 KiB in all, 290 KiB of it ids.
+fill pair an edge id, 8 bytes each. On gsw n = 2048's cover the 20 rounds
+hold 11,528 entries and 12,973 fill pairs, 480 KiB, 191 KiB of it ids.
 """
 
 from __future__ import annotations
@@ -186,11 +186,12 @@ class Elimination:
 
 @dataclass
 class SparsifiedLaplacian:
-    """Loop-free weighted edge list standing in for the two-step Laplacian.
+    """Loop-free weighted edge list of a Laplacian: approx's sampled
+    two-step Laplacian, or the exact route's double cover.
 
     Rows of the (implicit) incidence matrix orient each edge from
     ``edge_u`` to ``edge_v``; ``sample_count`` records how many two-step
-    paths built it.
+    paths built it (0 for the cover).
     """
 
     n: int

@@ -6,10 +6,10 @@ sampling estimators. ``decompose`` is the one place that checks or
 factors: a Collatz-Wielandt interval from one sparse mat-vec puts the
 leading eigenvalue at 1, and diag(M^-1), M = I - S^2 + psi psi^T
 (psi = sqrt(pi)), is computed once. From ``_ELIMINATION_MIN_NODES`` nodes
-up it is first read off the elimination of the sparse two-step Laplacian
-by selected inversion; where that elimination is abandoned (hubs,
-expanders), and on smaller graphs, M is factored densely by Cholesky.
-While trace(M^-1) is at most ``_TRACE_GATE``
+up it is first read off the elimination of the one-step graph's
+bipartite double cover by selected inversion; where that elimination is
+abandoned (hubs, expanders), and on smaller graphs, M is factored
+densely by Cholesky. While trace(M^-1) is at most ``_TRACE_GATE``
 the summary keeps d = diag(M^-1): exact disagreement is d - pi weighted
 by pi, the two-step Kemeny constant is trace(M^-1) - 1, and since
 trace(M^-1) >= 1/(1 - lambda_k^2) for every k >= 2 no eigensolve is
@@ -20,22 +20,33 @@ computed on the first read of a summary's ``eigenvalues`` or
 ``gap_bound``, and the eigenvectors by a full ``eigh`` on the first read
 of ``eigenvectors``.
 
-Memory: the elimination route holds no n x n buffer, only the two-step
-edge list, its rounds with their edge ids (290 KiB at gsw n = 2048, 1.1
-MiB at 8192) and, per round, one pair list of the sum of |N(v)|^2
-entries: on gsw ``decompose`` peaked 3, 5 and 9 MB above the
-interpreter's base at n = 2048, 4096 and 8192, so ``DENSE_NODE_CAP``
-bounds the other routes only. On the Cholesky route M is
-built straight into LAPACK's rectangular full packed storage,
-n(n + 1)/2 float64 numbers: psi psi^T first, then the sparse pattern of
-S^2, formed by row blocks. ``dpftrf`` factors M = L L^T and ``dtftri``
-inverts L in place, so ``decompose`` holds 4n(n + 1) bytes for it:
-16 MiB at n = 2048, 1.6 GB at ``DENSE_NODE_CAP`` (computed, not run).
-diag(M^-1) is read off as the squared column norms of L^-1, a row at a
-time; the product L^-T L^-1 is never formed. The eigenvalue and
-eigenvector routes are not built this way: on gsw n = 2048 the
-``eigvalsh`` route peaked about two n x n arrays above the interpreter's
-base and the ``eigh`` route about five.
+The double cover H has nodes v+ and v-, and edges u+v- and u-v+ of
+weight a_uv for each edge uv. Its normalized adjacency [[0, S], [S, 0]]
+has the eigenpairs (lambda_k, [phi_k; phi_k]/sqrt 2) and
+(-lambda_k, [phi_k; -phi_k]/sqrt 2): L_H = D_H - A_H is the direct sum
+of D - A and D + A. On a connected non-bipartite graph only lambda_1 = 1
+is 1. As 1/(1 - lambda^2) = (1/(1 - lambda) + 1/(1 + lambda))/2 and
+phi_1i^2/(2(1 + lambda_1)) = pi_i/4, diag(M^-1)_i is
+pinv(I - S_H)(i+, i+) + 3 pi_i/4. For any symmetric generalized inverse
+G_H of L_H, pinv(I - S_H) = P_H D_H^1/2 G_H D_H^1/2 P_H, with
+P_H = I - psi_H psi_H^T cancelling every kernel term; read at (i+, i+)
+that is ``_eliminated_m_inverse_diagonal``'s formula.
+
+Memory: the elimination route holds no n x n buffer, only H's edge list
+(H has the graph's sparsity) and its rounds with their edge ids: 480 KiB
+at gsw n = 2048, 40% of it ids. ``decompose`` peaked (``tracemalloc``)
+1.1, 2.3 and 4.6 MiB above its input on gsw n = 2048, 4096 and 8192,
+73 MiB on psfw g = 10 (88,575 nodes), so ``DENSE_NODE_CAP`` bounds the
+other routes only. On the Cholesky route M is built straight into
+LAPACK's rectangular full packed storage, n(n + 1)/2 float64 numbers:
+psi psi^T first, then the sparse pattern of S^2, formed by row blocks.
+``dpftrf`` factors M = L L^T and ``dtftri`` inverts L in place, so
+``decompose`` holds 4n(n + 1) bytes for it: 16 MiB at n = 2048, 1.6 GB
+at ``DENSE_NODE_CAP`` (computed, not run). diag(M^-1) is read off as the
+squared column norms of L^-1, a row at a time; the product L^-T L^-1 is
+never formed. The eigenvalue and eigenvector routes are not built this
+way: on gsw n = 2048 the ``eigvalsh`` route peaked about two n x n
+arrays above the interpreter's base and the ``eigh`` route about five.
 """
 
 from __future__ import annotations
@@ -67,11 +78,12 @@ _TRACE_GATE = 1e8
 #: ``decompose`` requires the leading eigenvalue within this of 1.
 _LAMBDA1_TOL = 1e-8
 #: ``decompose`` tries the elimination route from this many nodes up: the
-#: crossover on gsw (p = 0.5), medians of 15 calls with 2 BLAS threads on
-#: a 2-core VM, Cholesky against elimination: 13.2 against 16.0 ms at
-#: n = 640, 17.9 against 18.0 ms at 768, 28.8 against 21.9 ms at 960;
-#: zachary 0.44 against 1.50 ms
-_ELIMINATION_MIN_NODES = 768
+#: crossover of the cover's elimination against Cholesky, medians of 15
+#: calls with 2 BLAS threads on a 2-core VM: gsw (p = 0.5) 3.69 against
+#: 3.78 ms at n = 384, 4.16 against 5.25 ms at 512, 4.64 against 11.02 ms
+#: at 768; apollonian 4.36 against 3.92 ms at 384, 5.24 against 5.98 ms
+#: at 512; zachary 0.54 against 0.28 ms
+_ELIMINATION_MIN_NODES = 512
 #: ``_m_packed`` forms S^2 in row blocks of about this many bytes of
 #: values (512 KiB)
 _BLOCK_BYTES = 1 << 19
@@ -193,11 +205,10 @@ def decompose(g: WeightedGraph, *,
     M has the eigenvalues 1 and 1 - lambda_k^2, k >= 2. The route to
     d = diag(M^-1) is chosen from the input, with no option. From
     ``_ELIMINATION_MIN_NODES`` nodes up (the measured crossover) d comes
-    from the elimination of the two-step Laplacian
-    (``_eliminated_m_inverse_diagonal``) where the graph has at most
-    n^2/16 two-step paths and that elimination completes with a dense
-    block of one numerically zero eigenvalue and a trace at most
-    ``_TRACE_GATE``. Otherwise M is factored once by Cholesky
+    from the elimination of the graph's bipartite double cover
+    (``_eliminated_m_inverse_diagonal``) where that elimination completes
+    with a dense block of one numerically zero eigenvalue and a trace at
+    most ``_TRACE_GATE``. Otherwise M is factored once by Cholesky
     (``_m_inverse_diagonal``), whatever the elimination did: so on every
     input that leaves the elimination, decompose does what the Cholesky
     route alone does. A failed factorisation raises ``DomainError``
@@ -263,8 +274,8 @@ class DisagreementExact:
     sums to ``delta``. ``solver`` names the route that computed it:
     ``"elimination"`` or ``"cholesky"`` for diag(M^-1), or
     ``"eigenpairs"``; ``elimination_rounds`` counts the rounds of the
-    two-step Laplacian's elimination that ``decompose`` kept (0 where it
-    was not tried).
+    double cover's elimination that ``decompose`` kept (0 where it was
+    not tried).
     """
 
     delta: float
@@ -444,51 +455,38 @@ def _m_inverse_diagonal(g: WeightedGraph) -> np.ndarray:
     return diag
 
 
-def _two_step_laplacian(g: WeightedGraph) -> SparsifiedLaplacian:
-    """L2 = D - A D^-1 A as an edge list without self-loops: the row sums
-    of A D^-1 A are the degrees, so its off-diagonal entries alone are
-    the Laplacian L2 (up to rounding). ``two_step_graph`` forms the same
-    product but also builds a graph from it: 8.9 ms against 2.2 ms on gsw
-    n = 2048."""
-    a = g.adjacency_csr()
-    upper = sp.triu(a @ sp.diags(1.0 / g.degrees) @ a, k=1).tocoo()
-    return SparsifiedLaplacian(g.n, upper.row.astype(np.int64),
-                               upper.col.astype(np.int64), upper.data,
-                               sample_count=0)
+def _cover_laplacian(g: WeightedGraph) -> SparsifiedLaplacian:
+    """Laplacian of the bipartite double cover H of ``g`` as an edge list:
+    nodes v+ = v and v- = v + n, edges (u+, v-) and (u-, v+) of weight
+    a_uv for each edge uv, one edge (u+, u-) for a self-loop (which
+    counts once in a degree). H's degrees are then [d; d]."""
+    n, u, v, w = g.n, g.edge_u, g.edge_v, g.edge_w
+    pair = u != v
+    return SparsifiedLaplacian(2 * n, np.concatenate([u, v[pair]]),
+                               np.concatenate([v + n, u[pair] + n]),
+                               np.concatenate([w, w[pair]]), sample_count=0)
 
 
 def _eliminated_m_inverse_diagonal(g: WeightedGraph
                                    ) -> tuple[np.ndarray | None, int]:
-    """Diagonal of M^-1 from the elimination of the two-step Laplacian
-    L2 = D - A D^-1 A, and the number of elimination rounds kept; the
-    diagonal is None where the elimination is abandoned or its trace is
-    above ``_TRACE_GATE``.
+    """Diagonal of M^-1 from the elimination of the double cover's
+    Laplacian L_H (``_cover_laplacian``), and the number of elimination
+    rounds kept; the diagonal is None where the elimination is abandoned
+    or its trace is above ``_TRACE_GATE``.
 
-    L2 (``_two_step_laplacian``) is eliminated by
-    ``SparsifiedLaplacian.elimination``, and selected inversion gives
-    diag(G) for the generalized inverse G it defines.
-    I - S^2 = D^-1/2 L2 D^-1/2, so pinv(I - S^2) = P D^1/2 G D^1/2 P with
-    P = I - psi psi^T, and with pi = d / d_sum
-    diag(M^-1) = d G_ii - 2 pi (G d) + pi (d^T G d / d_sum) + pi.
-    G d is one forward and backward pass of the elimination.
-
-    The route is not tried where the two-step paths, sum_v deg(v)^2 (a
-    bound on the entries of A D^-1 A), exceed n^2/16: building L2 held
-    about 23 bytes a path on ba n = 4096, so above that it could hold more
-    than the 4n^2 bytes of the Cholesky route's packed M (a star's L2 is
-    a full n x n matrix); such graphs have hubs, whose elimination is
-    abandoned."""
-    counts = np.diff(g.indptr)
-    if counts @ counts > g.n * g.n / 16:
-        return None, 0
-    elim = _two_step_laplacian(g).elimination
+    Selected inversion gives diag(G_H) for the generalized inverse G_H the
+    elimination defines. With d_H = [d; d], pi = d / d_sum and y = G_H d_H
+    (one ``apply``), diag(M^-1)_i = d_i G_H(i+, i+) - pi_i y_i+
+    + pi_i (d_H^T y) / (4 d_sum) + 3 pi_i / 4 (see the module docstring).
+    d_H^T y sums both halves of y, which need not be equal."""
+    elim = _cover_laplacian(g).elimination
     rounds = len(elim.rounds)
     if not elim.complete:
         return None, rounds
-    d, pi = g.degrees, g.stationary()
-    gd = elim.apply(d[:, None].copy())[:, 0]
-    diag = d * elim.inverse_diagonal() - 2.0 * pi * gd + pi * (
-        d @ gd / g.d_sum) + pi
+    n, d, pi = g.n, g.degrees, g.stationary()
+    y = elim.apply(np.tile(d, 2)[:, None])[:, 0]
+    diag = (d * elim.inverse_diagonal()[:n] - pi * y[:n]
+            + pi * (d @ (y[:n] + y[n:]) / (4.0 * g.d_sum)) + 0.75 * pi)
     return (None if diag.sum() > _TRACE_GATE else diag), rounds
 
 

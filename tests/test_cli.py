@@ -628,16 +628,23 @@ def test_sweep_runs_its_cells_on_the_calling_thread(tmp_path, monkeypatch):
 def test_sweep_rows_do_not_depend_on_disagree_threads(tmp_path,
                                                      monkeypatch):
     # CG blocks of 16 columns on ba n=200, so that two threads split each
-    # approx solve (its hubs keep approx off the elimination path)
+    # approx solve (its hubs keep approx off the elimination path). Threads
+    # are counted per solve: each solve starts its own pool, whose worker
+    # may or may not reuse the last pool's thread id
     monkeypatch.setattr(dk.sparsify, "CG_BLOCK_BYTES", 8 * 200 * 16)
-    solver_threads = set()
-    real = dk.sparsify._cg_block
+    solver_threads = []
+    real_solve, real_block = dk.sparsify._cg_solve, dk.sparsify._cg_block
 
-    def recording(*args):
-        solver_threads.add(threading.get_ident())
-        return real(*args)
+    def recording_solve(*args):
+        solver_threads.append(set())
+        return real_solve(*args)
 
-    monkeypatch.setattr(dk.sparsify, "_cg_block", recording)
+    def recording_block(*args):
+        solver_threads[-1].add(threading.get_ident())
+        return real_block(*args)
+
+    monkeypatch.setattr(dk.sparsify, "_cg_solve", recording_solve)
+    monkeypatch.setattr(dk.sparsify, "_cg_block", recording_block)
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps({
         "methods": ["exact", "approx", "sample"], "trials": 2,
@@ -651,7 +658,9 @@ def test_sweep_rows_do_not_depend_on_disagree_threads(tmp_path,
         code, stdout, err = run_cli(["sweep", str(cfg_path), "--output",
                                      "json"])
         assert code == 0, err
-        assert len(solver_threads) == threads
+        assert solver_threads
+        assert [len(ids) for ids in solver_threads] == (
+            [threads] * len(solver_threads))
         rows = json.loads(stdout)
         for row in rows:
             assert row.pop("wall_time_s") > 0.0

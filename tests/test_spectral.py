@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg.lapack
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import disagree_kit as dk
@@ -583,20 +583,75 @@ def _weighted_gsw(n, seed):
         (u, v, float(w)) for (u, v, _), w in zip(g.edges(), weights)])
 
 
-# from n = 200 up: below it gsw has more than n^2/16 two-step paths, and
-# the elimination route is not tried
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(200, 600), seed=st.integers(0, 10_000),
-       weighted=st.booleans())
-@example(n=200, seed=0, weighted=False)
-@example(n=600, seed=0, weighted=True)
-def test_elimination_route_matches_the_cholesky_route(n, seed, weighted):
-    g = (_weighted_gsw(n, seed) if weighted
-         else dk.generate_gsw(n, 0.5, seed=seed))
+def _cover_route_input(family, n, seed):
+    """gsw, weighted gsw, gsw with self-loops of weight in [0.5, 2] at a
+    tenth of its nodes, or apollonian on n nodes, or psfw g = 2..7 (15 to
+    3282 nodes), g set by n."""
+    if family == "psfw":
+        return dk.generate_psfw(2 + n % 6)
+    if family == "apollonian":
+        return dk.generate_apollonian(n, seed=seed)
+    if family == "gsw-loops":
+        rng = np.random.default_rng(seed)
+        loops = [(int(v), int(v), float(rng.uniform(0.5, 2.0)))
+                 for v in rng.choice(n, n // 10, replace=False)]
+        return dk.WeightedGraph.from_edges(n, [
+            *dk.generate_gsw(n, 0.5, seed=seed).edges(), *loops],
+            allow_self_loops=True)
+    return (_weighted_gsw(n, seed) if family == "weighted-gsw"
+            else dk.generate_gsw(n, 0.5, seed=seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["gsw", "weighted-gsw", "gsw-loops",
+                               "apollonian", "psfw"]),
+       n=st.integers(20, 600), seed=st.integers(0, 10_000))
+@example(family="gsw", n=20, seed=0)
+@example(family="weighted-gsw", n=600, seed=0)
+@example(family="gsw-loops", n=600, seed=3)
+@example(family="apollonian", n=800, seed=0)
+@example(family="psfw", n=22, seed=0)
+@example(family="psfw", n=5, seed=0)
+def test_elimination_route_matches_the_cholesky_route(family, n, seed):
+    g = _cover_route_input(family, n, seed)
+    # a few small gsw are bipartite (n = 20, seed 370): decompose refuses
+    # them before this route
+    assume(not dk.validate(g).bipartite)
     d, _ = dk.spectral._eliminated_m_inverse_diagonal(g)
     assert d is not None
     assert np.allclose(d, dk.spectral._m_inverse_diagonal(g), rtol=1e-12,
                        atol=0)
+
+
+@pytest.mark.parametrize("g", [8, 9, 10])
+def test_psfw_kemeny_by_elimination_matches_the_closed_form(g):
+    s = dk.decompose(dk.generate_psfw(g))
+    assert s.solver == "elimination" and s.elimination_rounds > 0
+    assert dk.exact_kemeny_two_step(s) == pytest.approx(
+        dk.psfw_kemeny_closed_form(g), rel=1e-9, abs=0)
+
+
+def test_the_cover_of_a_bipartite_graph_is_not_eliminated():
+    # its cover is two copies of the graph: the dense block has two zero
+    # eigenvalues
+    n = 600
+    g = dk.WeightedGraph.from_edges(
+        n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+    d, rounds = dk.spectral._eliminated_m_inverse_diagonal(g)
+    assert d is None and rounds > 0
+
+
+def test_a_star_with_a_chord_is_eliminated():
+    # a hub of degree n - 1: its two-step graph would be full, its double
+    # cover is two stars joined by the chord's two copies
+    n = 800
+    g = dk.WeightedGraph.from_edges(
+        n, [(0, v, 1.0) for v in range(1, n)] + [(1, 2, 1.0)])
+    res = dk.exact_disagreement(g)
+    assert res.solver == "elimination" and res.elimination_rounds > 0
+    delta, ldag = _eigh_route(g)
+    assert res.delta == pytest.approx(delta, rel=1e-10)
+    assert np.allclose(res.ldag_diag, ldag, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("graph", [
@@ -604,9 +659,10 @@ def test_elimination_route_matches_the_cholesky_route(n, seed, weighted):
     _weighted_gsw(200, 4)], ids=["gsw", "zachary", "weighted-gsw"])
 def test_selected_inversion_is_the_diagonal_of_the_dense_replay(graph):
     """G built densely from the same rounds, G = U^-1 diag(D^-1, G') U^-T
-    one round at a time, is a generalized inverse of L2, its diagonal is
-    the selected inversion's and its products are ``apply``'s."""
-    lap = dk.spectral._two_step_laplacian(graph)
+    one round at a time, is a generalized inverse of the double cover's
+    Laplacian, its diagonal is the selected inversion's and its products
+    are ``apply``'s."""
+    lap = dk.spectral._cover_laplacian(graph)
     elim = lap.elimination
     assert elim.complete
     n = lap.n
@@ -638,25 +694,27 @@ def test_selected_inversion_is_the_diagonal_of_the_dense_replay(graph):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(200, 600), seed=st.integers(0, 10_000),
+@given(n=st.integers(20, 600), seed=st.integers(0, 10_000),
        weighted=st.booleans())
-@example(n=200, seed=0, weighted=False)
+@example(n=20, seed=0, weighted=False)
 @example(n=600, seed=3, weighted=True)
 def test_selected_inversion_by_edge_id_equals_the_sorted_key_search(
         n, seed, weighted):
     g = (_weighted_gsw(n, seed) if weighted
          else dk.generate_gsw(n, 0.5, seed=seed))
-    elim = dk.spectral._two_step_laplacian(g).elimination
+    assume(not dk.validate(g).bipartite)
+    elim = dk.spectral._cover_laplacian(g).elimination
     assert elim.complete
     assert np.array_equal(elim.inverse_diagonal(),
                           inverse_diagonal_oracle(elim))
 
 
 def test_exact_on_gsw_2048_reproduces_its_recorded_values():
-    # recorded before rounds became flat arrays; the dense block's LAPACK
-    # and BLAS calls set the last bits, which vary with the build
+    # recorded by the two-step Laplacian's elimination, which the double
+    # cover's matches within 1.1e-15; the dense block's LAPACK and BLAS
+    # calls set the last bits, which vary with the build
     res, kemeny = _exact_and_kemeny(dk.generate_gsw(2048, 0.5, seed=0))
-    assert res.solver == "elimination" and res.elimination_rounds == 29
+    assert res.solver == "elimination" and res.elimination_rounds == 20
     assert res.delta == pytest.approx(5.082989860006107, rel=1e-12, abs=0)
     assert kemeny == pytest.approx(9605.052295952784, rel=1e-12, abs=0)
 
@@ -667,14 +725,15 @@ def _exact_and_kemeny(g):
     return res, dk.exact_kemeny_two_step(s)
 
 
-@pytest.mark.parametrize("graph", [
-    dk.generate_ba(800, 3, seed=0), dk.generate_apollonian(800, seed=0),
-    dk.generate_psfw(6), ring_with_chords(800, 800, seed=0)],
-    ids=["ba", "apollonian", "psfw6", "expander"])
-def test_graphs_whose_elimination_fills_in_keep_the_cholesky_route(graph):
+# the cover of the expander fills in past its edge count in round 1
+@pytest.mark.parametrize("graph, rounds", [
+    (dk.generate_ba(800, 3, seed=0), 0),
+    (ring_with_chords(800, 800, seed=0), 1)], ids=["ba", "expander"])
+def test_graphs_whose_elimination_fills_in_keep_the_cholesky_route(graph,
+                                                                   rounds):
     assert graph.n >= dk.spectral._ELIMINATION_MIN_NODES
     res, kemeny = _exact_and_kemeny(graph)
-    assert res.solver == "cholesky" and res.elimination_rounds == 0
+    assert res.solver == "cholesky" and res.elimination_rounds == rounds
     # the route that runs when elimination is not tried
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dk.spectral, "_ELIMINATION_MIN_NODES", graph.n + 1)
@@ -683,19 +742,23 @@ def test_graphs_whose_elimination_fills_in_keep_the_cholesky_route(graph):
     assert np.array_equal(res.ldag_diag, dense.ldag_diag)
 
 
-def test_a_hub_whose_two_step_graph_is_full_is_not_eliminated(monkeypatch):
-    # a star plus one edge among its leaves: A D^-1 A would be n x n
-    n = 800
-    g = dk.WeightedGraph.from_edges(
-        n, [(0, v, 1.0) for v in range(1, n)] + [(1, 2, 1.0)])
-
-    def refused(graph):
-        raise AssertionError("the two-step Laplacian was built")
-
-    monkeypatch.setattr(dk.spectral, "_two_step_laplacian", refused)
-    assert dk.spectral._eliminated_m_inverse_diagonal(g) == (None, 0)
-    res = dk.exact_disagreement(g)
-    assert res.solver == "cholesky" and res.elimination_rounds == 0
+# their two-step Laplacians fill in; their double covers do not
+@pytest.mark.parametrize("graph", [
+    dk.generate_apollonian(800, seed=0), dk.generate_psfw(6)],
+    ids=["apollonian", "psfw6"])
+def test_graphs_whose_two_step_elimination_fills_in_take_the_cover_route(
+        graph):
+    assert graph.n >= dk.spectral._ELIMINATION_MIN_NODES
+    res, kemeny = _exact_and_kemeny(graph)
+    assert res.solver == "elimination" and res.elimination_rounds > 0
+    # the route that runs when elimination is not tried
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dk.spectral, "_ELIMINATION_MIN_NODES", graph.n + 1)
+        dense, dense_kemeny = _exact_and_kemeny(graph)
+    assert dense.solver == "cholesky"
+    assert res.delta == pytest.approx(dense.delta, rel=1e-12, abs=0)
+    assert kemeny == pytest.approx(dense_kemeny, rel=1e-12, abs=0)
+    assert np.allclose(res.ldag_diag, dense.ldag_diag, rtol=1e-12, atol=0)
 
 
 def _joined_gsw_halves(weight):
@@ -717,7 +780,7 @@ def _decompose_outcome(g):
     (1e-8, False), (1e-14, True), (1e-16, True)])
 def test_nearly_disconnected_inputs_leave_the_elimination_route(weight,
                                                                 warns):
-    """The elimination reaches its dense block in 16 rounds on all three,
+    """The elimination reaches its dense block in 15 rounds on all three,
     but its trace is above the gate (1e-8), or the block has a second
     numerically zero eigenvalue that ``pinvh`` would silently drop (1e-14,
     1e-16).
@@ -725,7 +788,7 @@ def test_nearly_disconnected_inputs_leave_the_elimination_route(weight,
     Cholesky route does: it drops d, and warns where that does."""
     g = _joined_gsw_halves(weight)
     d, rounds = dk.spectral._eliminated_m_inverse_diagonal(g)
-    assert d is None and rounds == 16
+    assert d is None and rounds == 15
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dk.spectral, "_ELIMINATION_MIN_NODES", 0)
         forced = _decompose_outcome(g)
