@@ -11,10 +11,11 @@ Both run batched, with the seeded outputs of a one-step, one-target
 loop. The recursion draws its noise ``SIMULATE_BLOCK_ENTRIES`` entries
 (512 KiB) at a time and reduces each block once; per step only
 x = P x + noise remains. The hitting walks advance up to
-``MC_CHUNK_WALKERS`` walkers (about 6 MB with their buffers) as one
-array; each target keeps its own stream and reads its uniforms in the
-order the loop drew them. A counter-based stream yields the same numbers
-whether drawn in one call or in several, which is what makes both exact.
+``MC_CHUNK_WALKERS`` walkers (about 5 MB with their buffers) as one
+array, one uniform per walker and base step, and run moves with no hit
+back to back; each target reads its own stream in the loop's order. A
+counter-based stream yields the same numbers whether drawn in one call
+or in several, which is what makes both exact.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ from .walks import NeighborSampler, WeightedIndex
 MC_NODE_CAP = 10_000
 
 #: hitting walkers (targets x walks_per_target) advanced as one batch.
-#: A walker takes about 180 bytes (its state, its share of one move's
-#: temporaries and of its target's uniform buffer on a weighted graph),
-#: so a batch stays near 6 MB at any graph size up to ``MC_NODE_CAP``; a
-#: single target with more walkers than this makes a batch on its own.
+#: A walker takes about 160 bytes on a weighted graph, 140 on an
+#: unweighted one (its state, its share of one move's temporaries and its
+#: 4 buffered uniforms; tracemalloc peaks over 2^15 walkers), so a batch
+#: stays near 5 MB at any graph size up to ``MC_NODE_CAP``; a single
+#: target with more walkers than this makes a batch on its own.
 MC_CHUNK_WALKERS = 1 << 15
 
 #: moves' worth of uniforms a target's buffer holds for all its walkers.
@@ -121,6 +123,7 @@ def simulate_noisy_degroot(g: WeightedGraph,
     dense, buf = _steps_dense(p_mat), np.empty(g.n)
     if dense:
         p_mat = p_mat.toarray()
+    p_dot = p_mat.dot  # the bound method skips np.dot's dispatch
     rng = derive_rng(config.seed, TAG_NOISE)
     x = np.zeros(g.n)
     total = 0.0
@@ -137,7 +140,7 @@ def simulate_noisy_degroot(g: WeightedGraph,
         else:
             block = rng.integers(0, 2, size=(size, g.n)) * 2.0 - 1.0
         for row in block:  # row i becomes x after step first + i
-            row += np.dot(p_mat, x, out=buf) if dense else p_mat @ x
+            row += p_dot(x, buf) if dense else p_mat @ x
             x = row
         if not np.all(np.isfinite(block)):
             raise DomainError("opinion vector overflowed; the walk matrix "
@@ -174,16 +177,14 @@ def _hitting_moves(engine: NeighborSampler, starts: WeightedIndex,
     Every target draws from its own stream exactly what a loop over that
     target alone would: its start nodes (``starts`` turns their uniforms
     into ``rng.choice(n, walks, p=pi)``'s), then per move and per base
-    step one uniform per live walker for the neighbor pick (and one for
-    the alias test on weighted graphs), live walkers in index order. The
+    step one uniform per live walker, live walkers in index order. The
     uniforms are read from per-target buffers refilled from the streams,
-    so the walkers of all targets advance as one array."""
+    so the walkers of all targets advance as one array; they are counted
+    and indexed again only after a move with a hit, or at a refill."""
     n_targets = len(targets)
     rngs = [derive_rng(seed, TAG_WALKS, int(t)) for t in targets]
     start = np.stack([starts.draw(rng.random(walks)) for rng in rngs])
-    per_step = engine.draws_per_step
-    per_move = 2 * per_step
-    width = per_move * walks * _BUFFER_MOVES
+    width = 2 * walks * _BUFFER_MOVES
     buf = np.stack([rng.random(width) for rng in rngs])
     flat_buf = buf.reshape(-1)
     cursor = np.zeros(n_targets, dtype=np.int64)
@@ -194,30 +195,32 @@ def _hitting_moves(engine: NeighborSampler, starts: WeightedIndex,
     pos = start.reshape(-1)[live]
     goal = targets[row]
     row_origin = np.arange(n_targets) * width
-    for move in range(1, cap + 1):
-        if len(live) == 0:
-            break
+    move = 0
+    while len(live) and move < cap:
         alive = np.bincount(row, minlength=n_targets)
-        need = per_move * alive
+        need = 2 * alive
         for r in np.flatnonzero(cursor + need > width):
             unread = width - cursor[r]
             buf[r, :unread] = buf[r, cursor[r]:].copy()
             buf[r, unread:] = rngs[r].random(width - unread)
             cursor[r] = 0
-        # a target's uniforms for this move: per base step, one block of
-        # picks (then one of accept tests) with one entry per live walker
+        # moves until the first live target's buffer runs out
+        held = alive > 0
+        run = min(cap - move, int(((width - cursor[held]) // need[held]).min()))
+        # per move and base step, a target's block: one uniform a walker
         at = ((row_origin + cursor - np.cumsum(alive) + alive)[row]
               + np.arange(len(live)))
         stride = alive[row]
-        for _ in range(2):
-            pick = flat_buf[at]
-            accept = None
-            if per_step == 2:
-                accept = flat_buf[at + stride]
-            at += per_step * stride
-            pos = engine.advance(pos, pick, accept)
-        cursor += need
-        hit = pos == goal
+        first = move
+        for move in range(first + 1, first + run + 1):
+            pos = engine.advance(pos, flat_buf[at])
+            at += stride
+            pos = engine.advance(pos, flat_buf[at])
+            at += stride
+            hit = pos == goal
+            if hit.any():
+                break
+        cursor += need * (move - first)
         flat_moves[live[hit]] = move
         keep = ~hit
         live, row, pos, goal = live[keep], row[keep], pos[keep], goal[keep]

@@ -1,8 +1,12 @@
 """Vectorized neighbor sampling for random walks on a WeightedGraph.
 
-Transitions follow a_uv / d_u. Unweighted rows use direct uniform
-indexing into the CSR neighbor arrays; weighted rows use per-node alias
-tables built once, so every step is O(1) per walker.
+Transitions follow a_uv / d_u. Every step takes one uniform u per
+walker: with x = u * k, k the count of v's neighbors, the walker at v
+picks its row's slot floor(x). Unweighted rows move to that slot's
+neighbor; weighted rows use per-node alias tables built once (Walker,
+ACM TOMS 1977) and keep the slot's neighbor where the fraction of x lies
+below the slot's alias probability, else move to its alias. Every step
+is O(1) per walker.
 
 ``NeighborSampler.advance`` moves walkers from uniforms the caller
 supplies; ``step`` draws them from one generator. A caller that walks
@@ -35,7 +39,9 @@ class NeighborSampler:
         self.counts = np.diff(g.indptr)
         self.uniform = self._rows_uniform(g)
         if not self.uniform:
-            self.alias_prob, self.alias_slot = self._build_alias(g)
+            self.alias_prob, slot = self._build_alias(g)
+            self.alias_to = self.indices[slot + np.repeat(g.indptr[:-1],
+                                                          self.counts)]
 
     @staticmethod
     def _rows_uniform(g: WeightedGraph) -> bool:
@@ -73,29 +79,20 @@ class NeighborSampler:
                 slot[lo + i] = i
         return prob, slot
 
-    @property
-    def draws_per_step(self) -> int:
-        """Uniforms one walker consumes per step: a neighbor pick, plus
-        the alias accept test on weighted rows."""
-        return 1 if self.uniform else 2
-
-    def advance(self, pos: np.ndarray, pick: np.ndarray,
-                accept: np.ndarray | None = None) -> np.ndarray:
+    def advance(self, pos: np.ndarray, pick: np.ndarray) -> np.ndarray:
         """Advance every walker in ``pos`` by one step, walker i using the
-        uniforms ``pick[i]`` and (weighted rows only) ``accept[i]``."""
-        base = self.indptr[pos]
-        k = (pick * self.counts[pos]).astype(np.int64)
-        if not self.uniform:
-            slot = base + k
-            k = np.where(accept < self.alias_prob[slot], k,
-                         self.alias_slot[slot])
-        return self.indices[base + k]
+        uniform ``pick[i]``."""
+        x = pick * self.counts[pos]
+        k = x.astype(np.int64)
+        slot = self.indptr[pos] + k
+        if self.uniform:
+            return self.indices[slot]
+        return np.where(x - k < self.alias_prob[slot], self.indices[slot],
+                        self.alias_to[slot])
 
     def step(self, pos: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Advance every walker in ``pos`` by one step."""
-        pick = rng.random(len(pos))
-        accept = None if self.uniform else rng.random(len(pos))
-        return self.advance(pos, pick, accept)
+        return self.advance(pos, rng.random(len(pos)))
 
     def walk(self, pos: np.ndarray, steps: int,
              rng: np.random.Generator) -> np.ndarray:

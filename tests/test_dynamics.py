@@ -178,10 +178,33 @@ def test_mc_several_chunks_and_refills_match_the_loop(monkeypatch, weighted):
     monkeypatch.setattr(dynamics, "derive_rng", lambda *key: _CountingStream(
         real(*key), sizes))
     est = _assert_mc_matches_loop(g, cfg)
-    width = 2 * (2 if weighted else 1) * 30
+    width = 2 * 30  # one uniform per walker and base step, weighted or not
     # refills, some of which keep unread uniforms
     assert sizes and any(0 < k < width for k in sizes)
     assert est.diagnostics["max_truncation_rate"] > 0.0
+
+
+@pytest.mark.parametrize("buffer_moves", [1, 5])
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_mc_hit_free_runs_cut_by_the_cap_or_a_refill_match_the_loop(
+        monkeypatch, weighted, cap, buffer_moves):
+    # 3 walkers a target on 30 nodes: many targets see no hit in all their
+    # moves. One target a batch, so such a target's moves are one run cut
+    # by the cap where its buffer holds 5 moves, and cut by a refill after
+    # every move where it holds 1.
+    g = random_connected_graph(30, 0.2, seed=7, weighted=weighted)
+    cfg = dk.MCConfig(walks_per_target=3, truncation_cap=cap, seed=12)
+    monkeypatch.setattr(dynamics, "MC_CHUNK_WALKERS", 3)
+    monkeypatch.setattr(dynamics, "_BUFFER_MOVES", buffer_moves)
+    sizes = []
+    real = dynamics.derive_rng
+    monkeypatch.setattr(dynamics, "derive_rng", lambda *key: _CountingStream(
+        real(*key), sizes))
+    _assert_mc_matches_loop(g, cfg)
+    _, _, trunc_rates, _ = mc_loop_oracle(g, cfg)
+    assert (trunc_rates == 1.0).sum() >= 5
+    assert bool(sizes) == (buffer_moves == 1 and cap > 1)
 
 
 def test_mc_walks_longer_than_a_chunk_match_the_loop(monkeypatch):
