@@ -1,7 +1,7 @@
 """disagree-kit: opinion disagreement of noisy averaging dynamics on graphs.
 
-Exact spectral computation on small graphs, a sublinear random-walk
-sampler, a sparsify-and-sketch pipeline for large ones, model-network
+Exact computation by elimination or dense factorisation, a sublinear
+random-walk sampler, a sparsify-and-sketch pipeline, model-network
 generators, and direct simulation baselines.
 """
 
@@ -21,8 +21,7 @@ from .sampler import (SampleParams, derive_params, estimate_gap_bound,
 from .sparsify import (SparsifiedLaplacian, approx_disagreement,
                        laplacian_solve, sparsify_two_step)
 from .spectral import (DisagreementExact, SpectralSummary, decompose,
-                       exact_disagreement, exact_hitting_time_two_step,
-                       exact_kemeny_two_step, partial_mean_hitting_time,
+                       exact_disagreement, exact_kemeny_two_step,
                        pseudoinverse_identity_check)
 
 __version__ = "0.1.0"
@@ -34,11 +33,10 @@ __all__ = [
     "SparsifiedLaplacian", "SpectralSummary", "UsageError", "WeightedGraph",
     "approx_disagreement", "decompose", "derive_params", "edge_list_text",
     "estimate_gap_bound", "estimate_return_probabilities",
-    "exact_disagreement", "exact_hitting_time_two_step",
-    "exact_kemeny_two_step", "generate", "generate_apollonian", "generate_ba",
-    "generate_gsw", "generate_psfw", "laplacian_solve", "load_bundled",
-    "load_edge_list",
-    "partial_mean_hitting_time", "pseudoinverse_identity_check",
+    "exact_disagreement", "exact_kemeny_two_step", "generate",
+    "generate_apollonian", "generate_ba", "generate_gsw", "generate_psfw",
+    "laplacian_solve", "load_bundled", "load_edge_list",
+    "pseudoinverse_identity_check",
     "psfw_kemeny_closed_form", "psfw_spectrum", "restrict_to_lcc",
     "sample_disagreement", "sample_kemeny_two_step", "simulate_mc_disagreement",
     "simulate_noisy_degroot", "sparsify_two_step", "two_step_graph",

@@ -145,9 +145,6 @@ OPTIONS = {
     "ell": ("--ell", int),
     "walks": ("--walks", int),
     "node_budget": ("--node-budget", int),
-    "oversample": ("--oversample-c", float),
-    "kappa": ("--kappa-override", float),
-    "max_cg_iters": ("--max-cg-iters", int),
     "burn_in": ("--burn-in", int),
     "horizon": ("--horizon", int),
     "truncation_cap": ("--cap", int),
@@ -177,12 +174,10 @@ METHODS = {
         ("lambda_bound", "ell", "walks", "node_budget"),
         ("epsilon", "seed", "estimate_gap")),
     "approx": Method(lambda g, opts, eps, seed: sparsify.approx_disagreement(
-        g, eps, seed, **opts), ("oversample", "kappa", "max_cg_iters"),
-        ("epsilon", "seed")),
+        g, eps, seed), (), ("epsilon", "seed")),
     "mc": Method(lambda g, opts, eps, seed: dynamics.simulate_mc_disagreement(
         g, dynamics.MCConfig(seed=seed, **opts)),
-        ("burn_in", "horizon", "truncation_cap", "walks_per_target"),
-        ("seed",)),
+        ("truncation_cap", "walks_per_target"), ("seed",)),
     "simulate": Method(lambda g, opts, eps, seed:
                        dynamics.simulate_noisy_degroot(
                            g, dynamics.MCConfig(seed=seed, **opts)),

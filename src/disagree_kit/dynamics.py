@@ -71,7 +71,9 @@ MAX_DERIVED_BURN_IN = 1_000_000
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Knobs for both simulators.
+    """Knobs for both simulators. The mc baseline reads only ``seed``,
+    ``truncation_cap`` and ``walks_per_target``, the noisy recursion the
+    others; each records only what it reads.
 
     ``burn_in=None`` derives 10/(1 - lambda_est) steps from a measured
     spectral estimate and refuses more than ``MAX_DERIVED_BURN_IN``.
@@ -269,7 +271,9 @@ def simulate_mc_disagreement(g: WeightedGraph, config: MCConfig, *,
     value = float(np.sum(pi * pi * mean_hits))
     stderr = float(np.sqrt(np.sum(pi ** 4 * var_hits) / walks))
     return DisagreementEstimate(
-        method="mc", value=value, params=config.to_json(), seed=config.seed,
+        method="mc", value=value, seed=config.seed,
+        params={"seed": config.seed, "truncation_cap": config.truncation_cap,
+                "walks_per_target": walks},
         wall_time_s=time.perf_counter() - t0,
         per_node=dict(enumerate((pi ** 2 * mean_hits).tolist())),
         diagnostics={"max_truncation_rate": max_rate,

@@ -20,7 +20,8 @@ import scipy.sparse as sp
 from .errors import DomainError, DuplicateEdgeError, ParseError, ResourceError
 
 #: Largest node count admitted to dense materializations (two-step graph,
-#: full eigendecompositions). Beyond this, use the sampling estimators.
+#: full eigendecompositions, the Cholesky route). Beyond this, exact runs
+#: by elimination where that completes.
 DENSE_NODE_CAP = 20_000
 
 _EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])

@@ -273,8 +273,10 @@ class SparsifiedLaplacian:
 
         The elimination is abandoned, keeping the rounds before, where
         fewer than LOW_DEGREE_SHARE of the vertices left have at most
-        MAX_DEGREE neighbours, or a Schur complement has more edges than L:
-        the fill of such graphs cannot be bounded in advance. It is also
+        MAX_DEGREE neighbours, or a Schur complement left with more than
+        MAX_DEGREE + 1 vertices has more edges than L: the fill of such
+        graphs cannot be bounded in advance, while the dense block's is
+        bounded by its order. It is also
         abandoned where the dense block's pseudoinverse does not have rank
         one less than its order: ``pinvh`` dropped a second eigenvalue as
         zero (a nearly disconnected L) or kept the kernel's."""
@@ -344,7 +346,7 @@ class SparsifiedLaplacian:
             vals[nk:] *= inv_d[group[first]]
             keys, slot = np.unique(pairs, return_inverse=True)
             w = np.bincount(slot, weights=vals)
-            if len(w) > self.m:
+            if len(w) > self.m and left - len(elim) > MAX_DEGREE + 1:
                 return Elimination(rounds)
             u, v = np.divmod(keys, n)
             old, eid = eid, np.full(len(keys), -1)
@@ -611,10 +613,7 @@ def _sketched_rows(lap: SparsifiedLaplacian, k: int, seed: int) -> np.ndarray:
     return q
 
 
-def approx_disagreement(g: WeightedGraph, epsilon: float, seed: int = 0, *,
-                        oversample: float = 1.0,
-                        kappa: float | None = None,
-                        max_cg_iters: int | None = None
+def approx_disagreement(g: WeightedGraph, epsilon: float, seed: int = 0
                         ) -> DisagreementEstimate:
     """Sparsify, sketch, and solve:
 
@@ -638,15 +637,13 @@ def approx_disagreement(g: WeightedGraph, epsilon: float, seed: int = 0, *,
     t0 = time.perf_counter()
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    lap = sparsify_two_step(g, min(epsilon, 0.5), seed,
-                            oversample=oversample)
+    lap = sparsify_two_step(g, min(epsilon, 0.5), seed)
     pi = g.stationary()
     k = math.ceil(6.0 * math.log(2.0 / FAILURE_PROB) / epsilon ** 2)
-    kappa_used = solver_tolerance(lap, pi, epsilon) if kappa is None else kappa
+    kappa = solver_tolerance(lap, pi, epsilon)
     # the sketch is freed once solved, and the solution is reduced in
     # place: no further n x k array is made
-    x, iters = laplacian_solve(lap, _sketched_rows(lap, k, seed), kappa_used,
-                               max_iters=max_cg_iters)
+    x, iters = laplacian_solve(lap, _sketched_rows(lap, k, seed), kappa)
     # with a complete elimination, 0 iterations means its solution passed:
     # CG runs only on a batch that fails, which has a nonzero column
     solver = "elimination" if iters == 0 and lap.elimination.complete else "cg"
@@ -659,12 +656,12 @@ def approx_disagreement(g: WeightedGraph, epsilon: float, seed: int = 0, *,
     per_row = diffs @ (pi * pi)
     return DisagreementEstimate(
         method="approx", value=value,
-        params={"epsilon": epsilon, "seed": seed, "oversample": oversample},
+        params={"epsilon": epsilon, "seed": seed},
         seed=seed, wall_time_s=time.perf_counter() - t0,
         per_node=dict(enumerate((g.d_sum * pi ** 2 * c).tolist())),
         # the block solver shares one iteration count across the k solves
         diagnostics={"s": lap.sample_count, "m_sparse": lap.m, "k": k,
-                     "kappa": kappa_used, "cg_iterations": [iters],
+                     "kappa": kappa, "cg_iterations": [iters],
                      "solver": solver,
                      "elimination_rounds": len(lap.elimination.rounds),
                      "failure_prob": FAILURE_PROB,

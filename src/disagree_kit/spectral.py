@@ -1,4 +1,4 @@
-"""Exact computation of disagreement, hitting times, and Kemeny constants.
+"""Exact computation of disagreement and two-step Kemeny constants.
 
 Everything here works from the normalized adjacency matrix
 S = D^{-1/2} A D^{-1/2} and serves as the ground-truth oracle for the
@@ -125,12 +125,6 @@ class SpectralSummary:
         self._allow_bipartite = allow_bipartite
         self.solver = solver
         self.elimination_rounds = elimination_rounds
-
-    @property
-    def n(self) -> int:
-        if self._eigenvalues is None:
-            return self._graph.n
-        return len(self._eigenvalues)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -305,16 +299,6 @@ class DisagreementExact:
         }
 
 
-def _kept_eigenvalues(lam: np.ndarray, bypass: bool) -> np.ndarray:
-    """Mask of the eigenvalues a pseudoinverse sums over: all but the
-    leading one, or with ``bypass`` every one with lambda^2 < 1."""
-    if bypass:
-        return lam * lam < 1.0 - _UNIT_EIGEN_TOL
-    mask = np.ones(len(lam), dtype=bool)
-    mask[0] = False
-    return mask
-
-
 def two_step_pinv_diagonal(s: SpectralSummary, *,
                            allow_bipartite_pseudoinverse: bool = False
                            ) -> np.ndarray:
@@ -325,7 +309,8 @@ def two_step_pinv_diagonal(s: SpectralSummary, *,
     natural reading of the pseudoinverse on bipartite graphs.
     """
     lam = s.eigenvalues
-    mask = _kept_eigenvalues(lam, allow_bipartite_pseudoinverse)
+    mask = (lam * lam < 1.0 - _UNIT_EIGEN_TOL if allow_bipartite_pseudoinverse
+            else np.arange(len(lam)) > 0)
     denom = 1.0 - lam[mask] ** 2
     psi = s.eigenvectors[:, mask]
     return (psi * psi) @ (1.0 / denom)
@@ -521,55 +506,6 @@ def exact_disagreement(g: WeightedGraph,
                              solver, s.elimination_rounds)
 
 
-def exact_hitting_time_two_step(s: SpectralSummary, g: WeightedGraph,
-                                i: int, j: int) -> float:
-    """Hitting time from i to j of the two-step walk, spectrally.
-
-    H_ij = d_sum * sum_{k>=2} (psi_kj^2/d_j - psi_ki psi_kj/sqrt(d_i d_j))
-    / (1 - lambda_k^2); zero when i == j.
-    """
-    if not (0 <= i < g.n and 0 <= j < g.n):
-        raise DomainError("node index out of range")
-    if i == j:
-        return 0.0
-    lam = s.eigenvalues[1:]
-    psi_i = s.eigenvectors[i, 1:]
-    psi_j = s.eigenvectors[j, 1:]
-    di, dj = g.degrees[i], g.degrees[j]
-    terms = (psi_j * psi_j / dj - psi_i * psi_j / np.sqrt(di * dj))
-    return float(g.d_sum * np.sum(terms / (1.0 - lam * lam)))
-
-
-def partial_mean_hitting_time(g: WeightedGraph, target: int,
-                              spectral: SpectralSummary, *,
-                              two_step: bool = False,
-                              allow_bipartite_pseudoinverse: bool = False
-                              ) -> float:
-    """Expected hitting time of ``target`` from a stationary random start.
-
-    Computed spectrally as (1/pi_t) * sum_{k>=2} psi_kt^2 / (1 - lambda_k)
-    on ``g`` itself, or with 1 - lambda_k^2 for the two-step graph of
-    ``g`` when ``two_step`` is set. The bypass flag additionally drops
-    the -1 eigenspace so the two-step variant stays finite on bipartite
-    input (pseudoinverse semantics).
-    """
-    if not (0 <= target < g.n):
-        raise DomainError(f"target {target} out of range for n={g.n}")
-    if g.n == 1:
-        return 0.0
-    if spectral.n != g.n:
-        raise DomainError("spectral summary does not belong to this graph")
-    if allow_bipartite_pseudoinverse and not two_step:
-        raise DomainError("the pseudoinverse bypass applies to the "
-                          "two-step variant only")
-    lam = spectral.eigenvalues
-    mask = _kept_eigenvalues(lam, allow_bipartite_pseudoinverse)
-    denom = (1.0 - lam[mask] ** 2) if two_step else (1.0 - lam[mask])
-    pi_t = g.stationary()[target]
-    psi_t = spectral.eigenvectors[target, mask]
-    return float(np.sum(psi_t ** 2 / denom) / pi_t)
-
-
 def exact_kemeny_two_step(s: SpectralSummary) -> float:
     """Kemeny constant of the two-step walk: sum_{k>=2} 1/(1-lambda_k^2).
 
@@ -609,6 +545,7 @@ def pseudoinverse_identity_check(g: WeightedGraph, *, eps: float = 1e-5,
     """
     if g.n > cap:
         raise ResourceError(f"pseudoinverse check capped at {cap} nodes")
+    require_ergodic(g, "pseudoinverse check")
     gp = two_step_graph(g)
 
     sqrt_d = np.sqrt(g.degrees)
@@ -621,8 +558,9 @@ def pseudoinverse_identity_check(g: WeightedGraph, *, eps: float = 1e-5,
     lap_pinv = np.linalg.pinv(lap, hermitian=True)
     transform = proj @ (sqrt_d[:, None] * lap_pinv * sqrt_d[None, :]) @ proj
 
-    s = decompose(g)
-    ell = truncation_length(eps, s.gap_bound)
+    # the lazy summary computes the eigenvalues only, not decompose's factor
+    ell = truncation_length(eps, SpectralSummary(None, None, None,
+                                                 graph=g).gap_bound)
     s2_base = normalized_adjacency_dense(g)
     s2_base = s2_base @ s2_base
     power = np.eye(g.n)

@@ -323,10 +323,9 @@ def test_sweep_sections_take_every_option_key():
 
 #: option key -> the value type of its ``compute`` flag
 _OPTION_TYPES = {
-    "ell": int, "walks": int, "node_budget": int, "max_cg_iters": int,
-    "burn_in": int, "horizon": int, "truncation_cap": int,
-    "walks_per_target": int, "lambda_bound": float, "oversample": float,
-    "kappa": float, "allow_bipartite": bool,
+    "ell": int, "walks": int, "node_budget": int, "burn_in": int,
+    "horizon": int, "truncation_cap": int, "walks_per_target": int,
+    "lambda_bound": float, "allow_bipartite": bool,
 }
 #: run key -> the value type of its flag; a sweep sets these per cell
 _RUN_TYPES = {"epsilon": float, "seed": int, "estimate_gap": bool}
@@ -353,8 +352,7 @@ def test_sweep_option_types_come_from_the_compute_flags():
         assert {key: type(value) for key, value in options.items()} == \
             {key: _OPTION_TYPES[key] for key in keys}
     # an integer is a number too
-    cli._check_sections({"sample": {"lambda_bound": 1},
-                         "approx": {"oversample": 2, "kappa": 3}})
+    cli._check_sections({"sample": {"lambda_bound": 1}})
 
 
 @pytest.mark.parametrize("method, key, value", [
@@ -376,11 +374,10 @@ def test_sweep_null_options_run_as_not_given(tmp_path):
     base = {"methods": ["sample", "approx", "mc"], "trials": 1,
             "epsilons": [0.5], "graphs": [{"family": "psfw", "g": 2}],
             "sample": {"lambda_bound": 0.9, "ell": 3, "walks": 50},
-            "mc": {"walks_per_target": 20, "truncation_cap": 500}}
+            "mc": {"walks_per_target": 20}}
     nulls = {**base,
              "sample": {**base["sample"], "node_budget": None},
-             "approx": {key: None for key in cli.METHODS["approx"].keys},
-             "mc": {**base["mc"], "burn_in": None, "horizon": None}}
+             "mc": {**base["mc"], "truncation_cap": None}}
     values = []
     for cfg in (base, nulls):
         cfg_path = tmp_path / "sweep.json"
@@ -505,9 +502,8 @@ _FRONT_ENDS = {
                lambda g, eps, seed: dk.sample_disagreement(g, dk.derive_params(
                    g.n, eps, 0.9, seed=seed, ell=6, walks_per_length=400,
                    node_budget=5)).value),
-    "approx": (["--oversample-c", "1.5"], {"oversample": 1.5},
-               lambda g, eps, seed: dk.approx_disagreement(
-                   g, eps, seed, oversample=1.5).value),
+    "approx": ([], {},
+               lambda g, eps, seed: dk.approx_disagreement(g, eps, seed).value),
     "mc": (["--walks", "40", "--cap", "3000"],
            {"walks_per_target": 40, "truncation_cap": 3000},
            lambda g, eps, seed: dk.simulate_mc_disagreement(g, dk.MCConfig(
@@ -688,8 +684,7 @@ def test_flags_no_method_of_the_command_reads_are_usage_errors(
     (["compute", "exact", "--walks", "5"], "--walks"),
     (["compute", "approx", "--lambda-bound", "0.5"], "--lambda-bound"),
     (["compute", "simulate", "--cap", "7"], "--cap"),
-    (["compute", "mc", "--ell", "3", "--oversample-c", "2"],
-     "--ell, --oversample-c"),
+    (["compute", "mc", "--ell", "3", "--horizon", "2"], "--ell, --horizon"),
     (["compute", "sample", "--lambda-bound", "0.5", "--allow-bipartite"],
      "--allow-bipartite"),
     (["kemeny", "--method", "exact", "--walks", "5"], "--walks"),
@@ -762,14 +757,12 @@ def test_a_given_node_budget_below_one_is_refused(tri_path, budget):
 def test_default_compute_records_pin_their_params(tri_path):
     """Options not given take the library defaults, and a switch reads
     false."""
-    simulate_params = {"burn_in": None, "horizon": 100_000,
-                       "noise": "gaussian", "seed": 0}
     expected = {
         "exact": {"allow_bipartite": False},
-        "approx": {"epsilon": 0.25, "oversample": 1.0, "seed": 0},
-        "mc": {**simulate_params, "truncation_cap": 1_000,
-               "walks_per_target": 1_000},
-        "simulate": simulate_params,
+        "approx": {"epsilon": 0.25, "seed": 0},
+        "mc": {"seed": 0, "truncation_cap": 1_000, "walks_per_target": 1_000},
+        "simulate": {"burn_in": None, "horizon": 100_000,
+                     "noise": "gaussian", "seed": 0},
         "sample --lambda-bound 0.5": {
             "ell": 2, "epsilon": 0.25, "lambda_bound": 0.5,
             "lambda_bound_source": "given", "node_budget": 3,
@@ -780,6 +773,33 @@ def test_default_compute_records_pin_their_params(tri_path):
                                      *method.split()])
         assert code == 0, err
         assert json.loads(stdout)["params"] == params
+
+
+def test_mc_takes_and_records_only_the_options_it_reads(tmp_path, tri_path):
+    """mc reads no burn-in, horizon or noise, and approx no solver
+    overrides: their flags and sweep keys are refused, and mc's record
+    holds only its seed, cap and walk count."""
+    for method, flag in (("mc", "--burn-in"), ("mc", "--horizon")):
+        code, stdout, err = run_cli(["compute", str(tri_path), method, flag,
+                                     "5"])
+        assert code == 1 and stdout == ""
+        assert err == f"error: compute {method} does not read {flag}\n"
+    for flag in ("--kappa-override", "--oversample-c", "--max-cg-iters"):
+        code, stdout, err = run_cli(["compute", str(tri_path), "approx",
+                                     flag, "2"])
+        assert code == 1 and stdout == ""
+        assert err == f"error: unrecognized arguments: {flag} 2\n"
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "methods": ["mc"], "graphs": [{"path": str(tri_path)}],
+        "mc": {"burn_in": 5}}))
+    code, stdout, err = run_cli(["sweep", str(cfg_path)])
+    assert code == 1 and stdout == "" and "'burn_in'" in err
+    code, stdout, err = run_cli(["compute", str(tri_path), "mc", "--walks",
+                                 "20", "--cap", "50", "--seed", "3"])
+    assert code == 0, err
+    assert json.loads(stdout)["params"] == {
+        "seed": 3, "truncation_cap": 50, "walks_per_target": 20}
 
 
 def test_a_derived_ell_beyond_the_cap_exits_3(tmp_path, tri_path):

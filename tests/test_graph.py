@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 import disagree_kit as dk
 from disagree_kit.graph import component_roots
-from helpers import (bipartite_oracle, components_oracle,
-                     partial_mean_hitting_oracle, path_graph,
+from helpers import (bipartite_oracle, components_oracle, path_graph,
                      random_connected_graph, transition_matrix, triangle)
 
 
@@ -396,42 +395,6 @@ def test_two_step_properties_random():
         assert np.max(np.abs(pi @ p2 - pi)) < 1e-12
         # total adjacency mass (loops once) equals d_sum
         assert gp.adjacency_dense().sum() == pytest.approx(g.d_sum)
-
-
-def test_partial_mean_hitting_time_triangle_matches_bruteforce():
-    g = triangle()
-    s = dk.decompose(g)
-    # one-step: linear-system oracle gives 4/3 on the triangle
-    oracle = partial_mean_hitting_oracle(g, 0)
-    assert oracle == pytest.approx(4.0 / 3.0, abs=1e-12)
-    assert dk.partial_mean_hitting_time(g, 0, s) == pytest.approx(oracle,
-                                                                  abs=1e-10)
-    # two-step variant against the squared-chain oracle
-    oracle2 = partial_mean_hitting_oracle(g, 0, two_step=True)
-    assert dk.partial_mean_hitting_time(g, 0, s, two_step=True) == \
-        pytest.approx(oracle2, abs=1e-10)
-
-
-def test_partial_mean_hitting_time_random_graphs():
-    for seed in range(4):
-        g = random_connected_graph(12, 0.4, seed=40 + seed)
-        s = dk.decompose(g)
-        for target in (0, g.n - 1):
-            assert dk.partial_mean_hitting_time(g, target, s) == pytest.approx(
-                partial_mean_hitting_oracle(g, target), rel=1e-9)
-            assert dk.partial_mean_hitting_time(
-                g, target, s, two_step=True) == pytest.approx(
-                    partial_mean_hitting_oracle(g, target, two_step=True),
-                    rel=1e-9)
-
-
-def test_partial_mean_hitting_time_edge_cases():
-    single = dk.WeightedGraph.from_edges(1, [])
-    s = dk.decompose(single)
-    assert dk.partial_mean_hitting_time(single, 0, s) == 0.0
-    g = triangle()
-    with pytest.raises(dk.DomainError):
-        dk.partial_mean_hitting_time(g, 5, dk.decompose(g))
 
 
 def test_stationary_invariants():
