@@ -7,15 +7,13 @@ the weighted mean is the disagreement value the spectral module computes
 in closed form. The hitting-time baseline instead estimates, per target,
 the mean two-step-walk hitting time from stationary starts.
 
-Both run batched, with the seeded outputs of a one-step, one-target
-loop. The recursion draws its noise ``SIMULATE_BLOCK_ENTRIES`` entries
-(512 KiB) at a time and reduces each block once; per step only
-x = P x + noise remains. The hitting walks advance up to
-``MC_CHUNK_WALKERS`` walkers (about 5 MB with their buffers) as one
-array, one uniform per walker and base step, and run moves with no hit
-back to back; each target reads its own stream in the loop's order. A
-counter-based stream yields the same numbers whether drawn in one call
-or in several, which is what makes both exact.
+The recursion draws its noise ``SIMULATE_BLOCK_ENTRIES`` entries (512
+KiB) at a time and reduces each block once, with the seeded outputs of a
+one-step loop: a counter-based stream yields the same numbers whether
+drawn in one call or in several. The hitting-time baseline walks one set
+of walkers for all targets, each until it has hit every target: at most
+H_max (1 + 1/2 + ... + 1/n) moves in expectation (Matthews, Ann. Probab.
+1988).
 """
 
 from __future__ import annotations
@@ -34,19 +32,13 @@ from .rng import TAG_NOISE, TAG_WALKS, derive_rng
 from .sampler import estimate_gap_bound
 from .walks import NeighborSampler, WeightedIndex
 
-#: the O(n^2)-flavored hitting-time baseline refuses larger graphs.
+#: the hitting-time baseline refuses larger graphs: a block of walkers
+#: would hold at most 104, too few to outweigh each move's fixed numpy cost.
 MC_NODE_CAP = 10_000
 
-#: hitting walkers (targets x walks_per_target) advanced as one batch.
-#: A walker takes about 160 bytes on a weighted graph, 140 on an
-#: unweighted one (its state, its share of one move's temporaries and its
-#: 4 buffered uniforms; tracemalloc peaks over 2^15 walkers), so a batch
-#: stays near 5 MB at any graph size up to ``MC_NODE_CAP``; a single
-#: target with more walkers than this makes a batch on its own.
-MC_CHUNK_WALKERS = 1 << 15
-
-#: moves' worth of uniforms a target's buffer holds for all its walkers.
-_BUFFER_MOVES = 2
+#: (walker, target) first-hit entries one block of hitting walkers holds:
+#: 4 MiB of int32, or one walker on graphs with more nodes than this.
+MC_BLOCK_ENTRIES = 1 << 20
 
 #: noise entries (steps x nodes) drawn and checked as one block by the
 #: noisy recursion: 512 KiB of noise, or one step on graphs with more
@@ -169,113 +161,93 @@ def simulate_noisy_degroot(g: WeightedGraph,
         diagnostics={"burn_in_used": burn, "stderr": stderr})
 
 
-def _hitting_moves(engine: NeighborSampler, starts: WeightedIndex,
-                   targets: np.ndarray, walks: int, cap: int,
-                   seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two-step moves each of ``walks`` stationary-start walkers needs to
-    hit its target, ``cap`` where it never does, as a (targets, walks)
-    array; also each target's count of truncated walkers.
-
-    Every target draws from its own stream exactly what a loop over that
-    target alone would: its start nodes (``starts`` turns their uniforms
-    into ``rng.choice(n, walks, p=pi)``'s), then per move and per base
-    step one uniform per live walker, live walkers in index order. The
-    uniforms are read from per-target buffers refilled from the streams,
-    so the walkers of all targets advance as one array; they are counted
-    and indexed again only after a move with a hit, or at a refill."""
-    n_targets = len(targets)
-    rngs = [derive_rng(seed, TAG_WALKS, int(t)) for t in targets]
-    start = np.stack([starts.draw(rng.random(walks)) for rng in rngs])
-    width = 2 * walks * _BUFFER_MOVES
-    buf = np.stack([rng.random(width) for rng in rngs])
-    flat_buf = buf.reshape(-1)
-    cursor = np.zeros(n_targets, dtype=np.int64)
-    moves = np.zeros((n_targets, walks), dtype=np.int64)
-    flat_moves = moves.reshape(-1)
-    live = np.flatnonzero(start != targets[:, None])  # (target, walker) order
-    row = live // walks
-    pos = start.reshape(-1)[live]
-    goal = targets[row]
-    row_origin = np.arange(n_targets) * width
+def _first_hits(engine: NeighborSampler, starts: WeightedIndex,
+                pi2: np.ndarray, walkers: int, cap: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The first two-step move after which each of ``walkers`` walkers,
+    started from ``rng.choice(n, walkers, p=pi)``'s draws, sits at each
+    target, as a (walkers, n) array: 0 at its start, ``cap + 1`` where it
+    never does within ``cap`` moves. Also each walker's sum_i pi_i^2 T_i,
+    T_i its entry capped at ``cap``. Per move and base step ``rng`` gives
+    one uniform per unfinished walker, in index order."""
+    n, miss = len(pi2), cap + 1
+    first = np.full((walkers, n), miss,
+                    dtype=np.int32 if miss < 2 ** 31 else np.int64)
+    flat = first.reshape(-1)
+    walker = np.arange(walkers)
+    pos = starts.draw(rng.random(walkers))
+    first[walker, pos] = 0
+    # every target is charged the cap until a hit at move m refunds cap - m
+    total = cap * (np.sum(pi2) - pi2[pos])
+    left = np.full(walkers, n - 1)  # targets not yet hit
+    base = walker * n
     move = 0
-    while len(live) and move < cap:
-        alive = np.bincount(row, minlength=n_targets)
-        need = 2 * alive
-        for r in np.flatnonzero(cursor + need > width):
-            unread = width - cursor[r]
-            buf[r, :unread] = buf[r, cursor[r]:].copy()
-            buf[r, unread:] = rngs[r].random(width - unread)
-            cursor[r] = 0
-        # moves until the first live target's buffer runs out
-        held = alive > 0
-        run = min(cap - move, int(((width - cursor[held]) // need[held]).min()))
-        # per move and base step, a target's block: one uniform a walker
-        at = ((row_origin + cursor - np.cumsum(alive) + alive)[row]
-              + np.arange(len(live)))
-        stride = alive[row]
-        first = move
-        for move in range(first + 1, first + run + 1):
-            pos = engine.advance(pos, flat_buf[at])
-            at += stride
-            pos = engine.advance(pos, flat_buf[at])
-            at += stride
-            hit = pos == goal
-            if hit.any():
-                break
-        cursor += need * (move - first)
-        flat_moves[live[hit]] = move
-        keep = ~hit
-        live, row, pos, goal = live[keep], row[keep], pos[keep], goal[keep]
-    flat_moves[live] = cap  # truncated: undercounts
-    return moves, np.bincount(row, minlength=n_targets)
+    while move < cap and len(walker):
+        move += 1
+        for u in rng.random((2, len(walker))):  # one row per base step
+            pos = engine.advance(pos, u)
+        at = base + pos
+        new = flat[at] == miss
+        if new.any():
+            flat[at[new]] = move
+            total[walker[new]] -= pi2[pos[new]] * (cap - move)
+            left -= new
+            if not left.all():
+                keep = left > 0
+                walker, pos, base, left = (walker[keep], pos[keep],
+                                           base[keep], left[keep])
+    return first, total
 
 
-def simulate_mc_disagreement(g: WeightedGraph, config: MCConfig, *,
-                             cap: int = MC_NODE_CAP) -> DisagreementEstimate:
-    """Hitting-time baseline: for every target i, walk the two-step chain
-    from stationary starts and average the moves needed to hit i; the
-    disagreement is sum_i pi_i^2 * H_i.
+def simulate_mc_disagreement(g: WeightedGraph,
+                             config: MCConfig) -> DisagreementEstimate:
+    """Hitting-time baseline: walk the two-step chain from stationary
+    starts and average, per target i, the moves a walker needs to hit i;
+    the disagreement is sum_i pi_i^2 * H_i.
 
-    Targets are walked ``MC_CHUNK_WALKERS // walks_per_target`` at a
-    time (at least one) as one batch; each keeps its own RNG stream, so
-    the result does not depend on the batching. ``stderr`` is
-    sqrt(sum_i pi_i^4 s_i^2 / walks), s_i^2 the sample variance of
-    target i's (capped) hitting moves."""
-    if g.n > cap:
-        raise ResourceError(f"hitting-time baseline capped at {cap} nodes")
+    Every walker serves every target: it walks until it has hit them all,
+    or for ``truncation_cap`` moves. Walkers run in blocks of
+    ``MC_BLOCK_ENTRIES // n`` (at least one); block b draws from stream
+    (``TAG_WALKS``, b). ``stderr`` is std(Y, ddof=1) / sqrt(walks) over the
+    walkers' Y = sum_i pi_i^2 T_i, T_i the (capped) moves to hit i, so it
+    includes the covariance between one walker's hitting times."""
+    if g.n > MC_NODE_CAP:
+        raise ResourceError(
+            f"hitting-time baseline capped at {MC_NODE_CAP} nodes")
     if config.truncation_cap < 1 or config.walks_per_target < 1:
         raise DomainError("truncation cap and walk count must be >= 1")
     require_ergodic(g, "simulation")
     t0 = time.perf_counter()
     pi = g.stationary()
+    pi2 = pi ** 2
     engine = NeighborSampler(g)
     starts = WeightedIndex(pi)
-    walks = config.walks_per_target
-    mean_hits = np.zeros(g.n)
-    var_hits = np.full(g.n, np.nan)
-    trunc_rates = np.zeros(g.n)
-    per_chunk = max(1, MC_CHUNK_WALKERS // walks)
-    for lo in range(0, g.n, per_chunk):
-        targets = np.arange(lo, min(g.n, lo + per_chunk))
-        moves, truncated = _hitting_moves(engine, starts, targets, walks,
-                                          config.truncation_cap, config.seed)
-        mean_hits[targets] = moves.mean(axis=1)
-        if walks > 1:
-            var_hits[targets] = moves.var(axis=1, ddof=1)
-        trunc_rates[targets] = truncated / walks
+    walks, cap = config.walks_per_target, config.truncation_cap
+    moves = truncated = 0  # per target, summed over the blocks
+    per_walker = []
+    rows = max(1, MC_BLOCK_ENTRIES // g.n)
+    for b, lo in enumerate(range(0, walks, rows)):
+        first, total = _first_hits(engine, starts, pi2, min(rows, walks - lo),
+                                   cap, derive_rng(config.seed, TAG_WALKS, b))
+        moves = moves + np.sum(first, axis=0, dtype=np.int64)
+        truncated = truncated + np.sum(first > cap, axis=0)
+        per_walker.append(total)
+    mean_hits = (moves - truncated) / walks  # a miss is stored as cap + 1
+    trunc_rates = truncated / walks
     max_rate = float(trunc_rates.max())
     if max_rate > 0.10:
         warnings.warn(
             f"hitting-time truncation rate reached {max_rate:.1%}; the "
             "estimate is biased low", stacklevel=2)
     value = float(np.sum(pi * pi * mean_hits))
-    stderr = float(np.sqrt(np.sum(pi ** 4 * var_hits) / walks))
+    stderr = (float(np.std(np.concatenate(per_walker), ddof=1)
+                    / math.sqrt(walks)) if walks > 1 else float("nan"))
     return DisagreementEstimate(
         method="mc", value=value, seed=config.seed,
         params={"seed": config.seed, "truncation_cap": config.truncation_cap,
                 "walks_per_target": walks},
         wall_time_s=time.perf_counter() - t0,
-        per_node=dict(enumerate((pi ** 2 * mean_hits).tolist())),
+        per_node=dict(enumerate((pi2 * mean_hits).tolist())),
         diagnostics={"max_truncation_rate": max_rate,
                      "truncated_targets": int((trunc_rates > 0.10).sum()),
                      "stderr": stderr})

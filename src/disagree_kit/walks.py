@@ -9,13 +9,11 @@ below the slot's alias probability, else move to its alias. Every step
 is O(1) per walker.
 
 ``NeighborSampler.advance`` moves walkers from uniforms the caller
-supplies; ``step`` draws them from one generator. A caller that walks
-many RNG streams at once, like the batched hitting walks of
-``dynamics.simulate_mc_disagreement``, reads each stream's uniforms in
-the order ``step`` would draw them and calls ``advance`` once for all
-streams, so seeded results do not depend on the batching (see
-``dynamics.MC_CHUNK_WALKERS`` for its memory bound). The sampler's
-return-probability walks still call ``step`` node by node, because
+supplies; ``step`` draws them from one generator. The hitting walks of
+``dynamics.simulate_mc_disagreement`` draw both base steps of a move in
+one call and advance by each row, which a counter-based stream makes
+equal to ``walk(pos, 2, rng)``. The sampler's return-probability walks
+still call ``step`` node by node, because
 ``test_instrument_wraps_every_binding_and_restores_them`` in
 ``bench/selftest.py`` pins that path's call counts (4
 ``estimate_return_probabilities`` calls, 32 ``step`` calls); batching it

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's spectral code paths:
 hitting times come from linear solves, return probabilities from matrix
 powers, components from set expansion, bipartiteness from odd closed
 walks. The two simulator oracles are the plain loops the batched
-simulators must reproduce bit for bit: one target, one step at a time.
+simulators must reproduce bit for bit: the hitting walkers one move at a
+time, the noisy recursion one step at a time.
 The M oracle assembles M = I - S^2 + psi psi^T as whole arrays, the
 per-entry arithmetic the packed builder must reproduce bit for bit,
 and packs it with LAPACK's own ``dtrttf``; the diag(M^-1) oracle
@@ -288,36 +289,35 @@ def star_graph(leaves):
 
 
 def mc_loop_oracle(g, config):
-    """Hitting-time baseline walked one target at a time through
-    ``NeighborSampler.walk``: (value, per-target mean moves, truncation
-    rates, sample variances of the moves)."""
+    """Hitting-time baseline walked block by block, each move one
+    ``NeighborSampler.walk`` of two steps over the unfinished walkers:
+    (value, per-target mean moves, truncation rates, the (walks, n) array
+    of capped moves to each target)."""
     pi = g.stationary()
     engine = NeighborSampler(g)
-    walks = config.walks_per_target
-    mean_hits = np.zeros(g.n)
-    trunc_rates = np.zeros(g.n)
-    var_hits = np.full(g.n, np.nan)
-    for target in range(g.n):
-        rng = derive_rng(config.seed, TAG_WALKS, target)
-        pos = rng.choice(g.n, size=walks, p=pi)
-        steps = np.zeros(walks, dtype=np.int64)
-        alive = pos != target
-        for move in range(1, config.truncation_cap + 1):
-            if not alive.any():
+    walks, cap = config.walks_per_target, config.truncation_cap
+    rows = max(1, dynamics.MC_BLOCK_ENTRIES // g.n)
+    steps, truncated = [], []
+    for b, lo in enumerate(range(0, walks, rows)):
+        rng = derive_rng(config.seed, TAG_WALKS, b)
+        size = min(rows, walks - lo)
+        pos = rng.choice(g.n, size=size, p=pi)
+        first = np.full((size, g.n), -1)  # -1: not hit yet
+        first[np.arange(size), pos] = 0
+        for move in range(1, cap + 1):
+            idx = np.flatnonzero((first < 0).any(axis=1))
+            if len(idx) == 0:
                 break
-            idx = np.flatnonzero(alive)
-            moved = engine.walk(pos[idx], 2, rng)  # one two-step move
-            pos[idx] = moved
-            hit = moved == target
-            steps[idx[hit]] = move
-            alive[idx[hit]] = False
-        steps[alive] = config.truncation_cap
-        trunc_rates[target] = alive.mean()
-        mean_hits[target] = steps.mean()
-        if walks > 1:
-            var_hits[target] = steps.var(ddof=1)
-    return (float(np.sum(pi * pi * mean_hits)), mean_hits, trunc_rates,
-            var_hits)
+            pos[idx] = engine.walk(pos[idx], 2, rng)  # one two-step move
+            for w in idx:
+                if first[w, pos[w]] < 0:
+                    first[w, pos[w]] = move
+        truncated.append(first < 0)
+        steps.append(np.where(first < 0, cap, first))
+    steps, truncated = np.concatenate(steps), np.concatenate(truncated)
+    mean_hits = steps.mean(axis=0)
+    return (float(np.sum(pi * pi * mean_hits)), mean_hits,
+            truncated.mean(axis=0), steps)
 
 
 def simulate_loop_oracle(g, config):

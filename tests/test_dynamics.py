@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -12,8 +13,9 @@ from scipy import stats
 
 import disagree_kit as dk
 from disagree_kit import dynamics
-from helpers import (mc_loop_oracle, path_graph, random_connected_graph,
-                     simulate_loop_oracle, triangle)
+from helpers import (hitting_times_to, mc_loop_oracle, path_graph,
+                     random_connected_graph, simulate_loop_oracle,
+                     transition_matrix, triangle)
 
 
 def test_simulate_triangle_matches_exact():
@@ -79,10 +81,22 @@ def test_mc_truncation_warning():
     assert est.diagnostics["truncated_targets"] >= 1
 
 
-def test_mc_size_guard():
-    g = triangle()
-    with pytest.raises(dk.ResourceError):
-        dk.simulate_mc_disagreement(g, dk.MCConfig(), cap=2)
+def test_mc_cap_beyond_int32_walks_the_same():
+    # every walker covers the triangle long before either cap, so only the
+    # first-hit array's dtype differs (int64 for a cap + 1 beyond int32)
+    cfg = dk.MCConfig(walks_per_target=50, truncation_cap=10_000, seed=1)
+    small = dk.simulate_mc_disagreement(triangle(), cfg)
+    big = dk.simulate_mc_disagreement(triangle(), dk.MCConfig(
+        walks_per_target=50, truncation_cap=2 ** 31, seed=1))
+    assert big.value == small.value and big.per_node == small.per_node
+    assert big.diagnostics["stderr"] == pytest.approx(
+        small.diagnostics["stderr"], rel=1e-6)
+
+
+def test_mc_size_guard(monkeypatch):
+    monkeypatch.setattr(dynamics, "MC_NODE_CAP", 2)
+    with pytest.raises(dk.ResourceError, match="capped at 2 nodes"):
+        dk.simulate_mc_disagreement(triangle(), dk.MCConfig())
 
 
 def test_two_step_moves_match_explicit_two_step_sampling():
@@ -120,7 +134,7 @@ def _assert_mc_matches_loop(g, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # truncation warnings are expected
         est = dk.simulate_mc_disagreement(g, cfg)
-    value, mean_hits, trunc_rates, _ = mc_loop_oracle(g, cfg)
+    value, mean_hits, trunc_rates, steps = mc_loop_oracle(g, cfg)
     pi = g.stationary()
     assert est.value == value
     # pi_i * pi_i, as numpy squares an array: the scalar pi[i] ** 2 goes
@@ -131,103 +145,177 @@ def _assert_mc_matches_loop(g, cfg):
     assert est.diagnostics["max_truncation_rate"] == float(trunc_rates.max())
     assert est.diagnostics["truncated_targets"] == int(
         (trunc_rates > 0.10).sum())
+    # the spread of each walker's sum_i pi_i^2 T_i, summed in another order
+    walks, got = cfg.walks_per_target, est.diagnostics["stderr"]
+    if walks == 1:
+        assert math.isnan(got)
+    else:
+        assert got == pytest.approx(
+            np.std(steps @ (pi * pi), ddof=1) / math.sqrt(walks),
+            rel=1e-9, abs=1e-12)
     return est
 
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(3, 12), p=st.floats(0.2, 0.8),
        graph_seed=st.integers(0, 10_000), weighted=st.booleans(),
-       walks=st.integers(1, 40), cap=st.integers(1, 4),
-       seed=st.integers(0, 2 ** 32), chunk=st.sampled_from([1, 7, 1 << 15]),
-       buffer_moves=st.sampled_from([1, 2, 5]))
-def test_mc_batched_walks_equal_the_per_target_loop(
-        n, p, graph_seed, weighted, walks, cap, seed, chunk, buffer_moves):
-    # caps of a few moves truncate walkers; small chunks and one-move
-    # buffers force several batches and refills in the middle of walks
+       walks=st.integers(1, 40), cap=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32), entries=st.sampled_from([1, 7, 50,
+                                                             1 << 20]))
+def test_mc_blocked_walks_equal_the_loop(n, p, graph_seed, weighted, walks,
+                                         cap, seed, entries):
+    # caps of a few moves truncate walkers; small blocks run several
     g = random_connected_graph(n, p, graph_seed, weighted=weighted)
     cfg = dk.MCConfig(walks_per_target=walks, truncation_cap=cap, seed=seed)
-    with mock.patch.object(dynamics, "MC_CHUNK_WALKERS", chunk), \
-            mock.patch.object(dynamics, "_BUFFER_MOVES", buffer_moves):
+    with mock.patch.object(dynamics, "MC_BLOCK_ENTRIES", entries):
         _assert_mc_matches_loop(g, cfg)
 
 
-class _CountingStream:
-    """Generator proxy recording the size of every ``random`` draw after
-    its first two: a target's start nodes and its first buffer fill."""
+def _record_streams(monkeypatch):
+    """Keys of every stream ``dynamics`` derives from here on."""
+    keys = []
+    real = dynamics.derive_rng
 
-    def __init__(self, rng, sizes):
-        self._rng, self._sizes, self._draws = rng, sizes, 0
+    def derive(*key):
+        keys.append(key)
+        return real(*key)
 
-    def random(self, size):
-        self._draws += 1
-        if self._draws > 2:
-            self._sizes.append(size)
-        return self._rng.random(size)
+    monkeypatch.setattr(dynamics, "derive_rng", derive)
+    return keys
+
+
+def _count_advances(monkeypatch):
+    """A one-item list counting ``NeighborSampler.advance`` calls."""
+    calls = [0]
+    real = dynamics.NeighborSampler.advance
+
+    def advance(self, pos, pick):
+        calls[0] += 1
+        return real(self, pos, pick)
+
+    monkeypatch.setattr(dynamics.NeighborSampler, "advance", advance)
+    return calls
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_mc_several_chunks_and_refills_match_the_loop(monkeypatch, weighted):
+    # blocks (chunks) of 12, 12 and 6 walkers, each refilled from a stream
+    # of its own; within a block some walkers cover all 11 nodes and drop
+    # out, others are truncated at the cap
     g = random_connected_graph(11, 0.3, seed=4, weighted=weighted)
-    cfg = dk.MCConfig(walks_per_target=30, truncation_cap=3, seed=9)
-    # 4 targets per chunk: chunks of 4, 4 and 3 targets
-    monkeypatch.setattr(dynamics, "MC_CHUNK_WALKERS", 4 * 30 + 29)
-    # buffers hold one move, so later moves refill in the middle of walks
-    monkeypatch.setattr(dynamics, "_BUFFER_MOVES", 1)
-    sizes = []
-    real = dynamics.derive_rng
-    monkeypatch.setattr(dynamics, "derive_rng", lambda *key: _CountingStream(
-        real(*key), sizes))
+    cfg = dk.MCConfig(walks_per_target=30, truncation_cap=60, seed=9)
+    monkeypatch.setattr(dynamics, "MC_BLOCK_ENTRIES", 12 * 11 + 10)
+    keys = _record_streams(monkeypatch)
     est = _assert_mc_matches_loop(g, cfg)
-    width = 2 * 30  # one uniform per walker and base step, weighted or not
-    # refills, some of which keep unread uniforms
-    assert sizes and any(0 < k < width for k in sizes)
+    assert keys == [(9, dynamics.TAG_WALKS, b) for b in range(3)]
+    _, _, _, steps = mc_loop_oracle(g, cfg)
+    done = steps.max(axis=1) < cfg.truncation_cap  # walker covered the graph
+    assert done.any() and not done.all()
     assert est.diagnostics["max_truncation_rate"] > 0.0
 
 
-@pytest.mark.parametrize("buffer_moves", [1, 5])
+@pytest.mark.parametrize("block_walkers", [1, 5])
 @pytest.mark.parametrize("cap", [1, 2, 3])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_mc_hit_free_runs_cut_by_the_cap_or_a_refill_match_the_loop(
-        monkeypatch, weighted, cap, buffer_moves):
-    # 3 walkers a target on 30 nodes: many targets see no hit in all their
-    # moves. One target a batch, so such a target's moves are one run cut
-    # by the cap where its buffer holds 5 moves, and cut by a refill after
-    # every move where it holds 1.
+        monkeypatch, weighted, cap, block_walkers):
+    # 3 walkers on 30 nodes: no walker covers the graph within 3 moves, so
+    # each block's walkers run every move to the cap, most of them with no
+    # new hit, and many targets are never hit. Blocks of one walker refill
+    # from a new stream per walker; blocks of 5 hold all three.
     g = random_connected_graph(30, 0.2, seed=7, weighted=weighted)
     cfg = dk.MCConfig(walks_per_target=3, truncation_cap=cap, seed=12)
-    monkeypatch.setattr(dynamics, "MC_CHUNK_WALKERS", 3)
-    monkeypatch.setattr(dynamics, "_BUFFER_MOVES", buffer_moves)
-    sizes = []
-    real = dynamics.derive_rng
-    monkeypatch.setattr(dynamics, "derive_rng", lambda *key: _CountingStream(
-        real(*key), sizes))
+    monkeypatch.setattr(dynamics, "MC_BLOCK_ENTRIES", 30 * block_walkers)
+    keys = _record_streams(monkeypatch)
+    calls = _count_advances(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # every target is truncated
+        dk.simulate_mc_disagreement(g, cfg)
+    blocks = 3 if block_walkers == 1 else 1
+    assert keys == [(12, dynamics.TAG_WALKS, b) for b in range(blocks)]
+    assert calls[0] == blocks * cap * 2  # two base steps a move, no early end
     _assert_mc_matches_loop(g, cfg)
     _, _, trunc_rates, _ = mc_loop_oracle(g, cfg)
     assert (trunc_rates == 1.0).sum() >= 5
-    assert bool(sizes) == (buffer_moves == 1 and cap > 1)
 
 
 def test_mc_walks_longer_than_a_chunk_match_the_loop(monkeypatch):
-    monkeypatch.setattr(dynamics, "MC_CHUNK_WALKERS", 16)
+    # blocks of two walkers on 6 nodes: 50 walkers run in 25 blocks
+    monkeypatch.setattr(dynamics, "MC_BLOCK_ENTRIES", 16)
     g = random_connected_graph(6, 0.5, seed=1, weighted=True)
     _assert_mc_matches_loop(g, dk.MCConfig(walks_per_target=50,
                                            truncation_cap=20, seed=3))
 
 
-def test_mc_stderr_is_the_per_target_variance_sum():
+def test_mc_stderr_is_the_spread_of_the_per_walker_sums():
     g = random_connected_graph(9, 0.4, seed=5)
     cfg = dk.MCConfig(walks_per_target=60, truncation_cap=500, seed=2)
-    est = _assert_mc_matches_loop(g, cfg)  # long walks: default refills
-    _, _, _, var_hits = mc_loop_oracle(g, cfg)
-    pi = g.stationary()
-    assert est.diagnostics["stderr"] == pytest.approx(
-        math.sqrt(np.sum(pi ** 4 * var_hits) / 60), rel=1e-12)
+    est = _assert_mc_matches_loop(g, cfg)  # checks the stderr formula
     assert est.diagnostics["max_truncation_rate"] == 0.0  # unbiased here
     exact = dk.exact_disagreement(g).delta
     assert abs(est.value - exact) < 4 * est.diagnostics["stderr"]
     one_walk = dk.simulate_mc_disagreement(
         g, dk.MCConfig(walks_per_target=1, seed=2))
     assert math.isnan(one_walk.diagnostics["stderr"])
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_mc_mean_moves_match_stationary_start_hitting_times(weighted):
+    g = random_connected_graph(10, 0.4, seed=11, weighted=weighted)
+    cfg = dk.MCConfig(walks_per_target=2_000, truncation_cap=10_000, seed=4)
+    est = dk.simulate_mc_disagreement(g, cfg)
+    assert est.diagnostics["max_truncation_rate"] == 0.0
+    pi = g.stationary()
+    p_mat = transition_matrix(g)
+    p2 = p_mat @ p_mat
+    _, mean_hits, _, steps = mc_loop_oracle(g, cfg)
+    sd = steps.std(axis=0, ddof=1) / math.sqrt(cfg.walks_per_target)
+    for i in range(g.n):
+        assert est.per_node[i] == pi[i] * pi[i] * mean_hits[i]
+        exact = pi @ hitting_times_to(p2, i)
+        assert abs(mean_hits[i] - exact) < 4 * sd[i], (i, mean_hits[i],
+                                                       exact, sd[i])
+
+
+def _barbell(clique, path_edges):
+    """Two cliques of ``clique`` nodes joined by a path of ``path_edges``
+    edges from node 0 to node ``clique``."""
+    inner = path_edges - 1
+    second = clique + inner
+    edges = [(a, b, 1.0) for lo in (0, second)
+             for a in range(lo, lo + clique) for b in range(a + 1, lo + clique)]
+    chain = [0, *range(clique, clique + inner), second]
+    edges += [(a, b, 1.0) for a, b in zip(chain, chain[1:])]
+    return dk.WeightedGraph.from_edges(second + clique, edges)
+
+
+def test_mc_stderr_matches_the_spread_of_values_on_a_bottleneck():
+    # one walker's hitting times are correlated across the bridge; the
+    # stated stderr must cover that covariance, which a per-target
+    # variance sum leaves out
+    g = _barbell(8, 3)
+    runs = [dk.simulate_mc_disagreement(g, dk.MCConfig(
+        walks_per_target=100, truncation_cap=20_000, seed=s))
+        for s in range(120)]
+    assert max(r.diagnostics["max_truncation_rate"] for r in runs) == 0.0
+    spread = np.std([r.value for r in runs], ddof=1)
+    stated = np.mean([r.diagnostics["stderr"] for r in runs])
+    assert 0.75 <= spread / stated <= 1.25, (spread, stated)
+
+
+def test_mc_block_memory_is_bounded():
+    # 1000 walkers x 10^4 targets would be 40 MB of int32 in one block
+    g = dk.generate_ba(10_000, 3, seed=0)
+    cfg = dk.MCConfig(walks_per_target=1_000, truncation_cap=20, seed=0)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # every walker truncates
+            dk.simulate_mc_disagreement(g, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20, peak
 
 
 def _assert_simulate_matches_loop(g, cfg):
